@@ -135,7 +135,7 @@ def run_linkage(
     if streaming:
         from ..state.accounting import new_stats_sink
 
-        sink = new_stats_sink()
+        sink = new_stats_sink()  # this run's token on the session sink
         pairs = B.candidate_pairs(
             features, cfg.blocking, stats_sink=sink, coalesce=False
         )
@@ -159,6 +159,7 @@ def run_linkage(
         # scored is materialized, so every emit task has run and (via the
         # in-task ray.get) recorded its bucket's counts — totals are final
         totals = ray.get(sink.totals.remote("blocking"))
+        ray.get(sink.drop.remote())
         ckpt.stats["blocking_bands"] = {
             k: totals.get(k, 0)
             for k in ("dropped_bands", "salted_bands", "capped_groups")
@@ -190,23 +191,6 @@ def run_linkage(
     return LinkageResult(
         clusters=clusters, scored_pairs=scored, stats=ckpt.stats, features=features
     )
-
-
-# worker-process-local cache for the broadcast new-id array (same pattern
-# as clustering._LABELS_CACHE: one plasma fetch per worker, not per batch)
-_NEWIDS_CACHE: dict = {}
-
-
-def _new_ids_cached(ref):
-    import ray as _ray
-
-    key = ref.hex()
-    hit = _NEWIDS_CACHE.get(key)
-    if hit is None:
-        hit = _ray.get(ref)
-        _NEWIDS_CACHE.clear()
-        _NEWIDS_CACHE[key] = hit
-    return hit
 
 
 def run_linkage_incremental(
@@ -247,8 +231,6 @@ def run_linkage_incremental(
     features stage) — content bytes of the base corpus are never
     re-read."""
     cfg = cfg or LinkageConfig()
-    import ray as _ray
-
     from ..stages.blocking import dedup_pairs, expand_bands_batch, _emit_pairs_for_bucket
     from ..util import auto_join_partitions, shuffle_partitions
 
@@ -273,16 +255,11 @@ def run_linkage_incremental(
     # broadcast the sorted delta-id array (worker assembly task; the
     # driver only holds the ref — same discipline as assign_clusters)
     def _assemble_ids(*parts):
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        import pyarrow as _pa
+        # an empty delta materializes as schema-less row-less blocks
+        ids = [t["record_id"].to_numpy(zero_copy_only=False) for t in parts if len(t)]
+        return np.sort(np.concatenate(ids)) if ids else np.empty(0, dtype=np.int64)
 
-        ids = np.concatenate(
-            [t["record_id"].to_numpy(zero_copy_only=False) for t in parts]
-        )
-        return np.sort(ids)
-
-    ids_ref = _ray.remote(num_cpus=0.25)(_assemble_ids).remote(
+    ids_ref = ray.remote(_assemble_ids).remote(
         *new_features.to_arrow_refs()
     )
 
@@ -304,14 +281,14 @@ def run_linkage_incremental(
         t = t.filter(
             pa.compute.not_equal(t["id_a"], pa.scalar(-1, pa.int64()))
         ).select(["id_a", "id_b"])
-        ids = _new_ids_cached(ids_ref)
+        ids = C.cached_get(ids_ref)
+        if not len(ids):
+            return t.slice(0, 0)
         a = t["id_a"].to_numpy(zero_copy_only=False)
         b = t["id_b"].to_numpy(zero_copy_only=False)
 
         def isin(x):
-            pos = np.searchsorted(ids, x)
-            pos = np.minimum(pos, max(len(ids) - 1, 0))
-            return (len(ids) > 0) & (ids[pos] == x)
+            return ids[np.minimum(np.searchsorted(ids, x), len(ids) - 1)] == x
 
         return t.filter(pa.array(isin(a) | isin(b)))
 

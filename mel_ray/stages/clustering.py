@@ -197,22 +197,20 @@ def connected_components(
     )
 
 
-# worker-process-local cache for the broadcast label arrays (single entry;
-# a new ref replaces the previous run's pins) — same pattern as
-# scoring._VIEWS_CACHE: every task of one assign stage reuses the arrays
-# its worker already fetched instead of re-entering plasma per batch.
-_LABELS_CACHE: dict = {}
+# worker-process-local cache for a broadcast object (single entry; a new
+# ref replaces the previous run's pins) — same pattern as
+# scoring._VIEWS_CACHE: every task of one stage reuses the value its
+# worker already fetched instead of re-entering plasma per batch.
+_BROADCAST_CACHE: dict = {}
 
 
-def _assign_labels_cached(ref):
-    import ray as _ray
-
+def cached_get(ref):
     key = ref.hex()
-    hit = _LABELS_CACHE.get(key)
+    hit = _BROADCAST_CACHE.get(key)
     if hit is None:
-        hit = _ray.get(ref)
-        _LABELS_CACHE.clear()
-        _LABELS_CACHE[key] = hit
+        hit = ray.get(ref)
+        _BROADCAST_CACHE.clear()
+        _BROADCAST_CACHE[key] = hit
     return hit
 
 
@@ -230,8 +228,6 @@ def assign_clusters(
     takes over past the broadcast threshold."""
     n = component_labels.count()
     if n <= broadcast_limit_rows:
-        import ray as _ray
-
         def _assemble_labels(*parts):
             # (worker task) label blocks -> sorted lookup arrays; the
             # driver only ever holds the returned ObjectRef
@@ -243,9 +239,10 @@ def assign_clusters(
             order = np.argsort(ids, kind="stable")
             return ids[order], cids[order]
 
-        # fractional CPU so the task schedules while pool actors hold
-        # their reservations (2-cpu deadlock guard; see scoring.py)
-        ref = _ray.remote(num_cpus=0.25)(_assemble_labels).remote(
+        # a whole-CPU task on the warm pool; the assign tasks that wait
+        # on it give up their CPU while blocked (rule: scoring.py
+        # _collect_feature_shards)
+        ref = ray.remote(_assemble_labels).remote(
             *component_labels.to_arrow_refs()
         )
 
@@ -256,7 +253,7 @@ def assign_clusters(
             # prestarted warm workers with no actor spawn/init on the
             # critical path (see scoring.score_pairs_broadcast, round-5
             # profile: actor startup dominated these short broadcast stages)
-            ids, cids = _assign_labels_cached(ref)
+            ids, cids = cached_get(ref)
             rid = batch["record_id"].to_numpy()
             pos = np.searchsorted(ids, rid)
             pos = np.minimum(pos, max(len(ids) - 1, 0))

@@ -30,9 +30,10 @@ import ray.data
 from ..config import BlockingConfig, ScoringConfig
 from ..functions.strsim import jaro_winkler, levenshtein_ratio
 
-# Shuffle-join aggregator actors reserve fractional CPUs so that several
-# join stages plus an actor pool can coexist on a small node without
-# resource deadlock (each Dataset.join spawns num_partitions aggregators).
+# Shuffle-join aggregator actors stay fractional so several join stages
+# plus an actor pool fit a small node (each Dataset.join spawns
+# num_partitions of them); helper TASKS take whole CPUs (see
+# _collect_feature_shards).
 JOIN_AGG_ARGS = {"num_cpus": 0.25}
 
 
@@ -47,6 +48,32 @@ def combine_scores(w, est_j, cos, path_jw, repo_jw) -> np.ndarray:
         + float(w[2]) * path_jw
         + float(w[3]) * repo_jw
     ).astype(np.float32)
+
+
+def score_kernel(
+    cfg: ScoringConfig, w, id_a, id_b, est_j, emb_a, emb_b, path_a, path_b, repo_a, repo_b
+) -> pa.Table:
+    """The scorer's math over gathered pair features, shared by the
+    partitioned :class:`PairScorer` and the broadcast path: cosine,
+    Jaro-Winkler/Levenshtein similarities, the weighted score and the
+    accept bit."""
+    # f32-accumulating einsum over the f16 rows: bit-identical to
+    # astype(f32)+dot (einsum casts per buffered chunk) without
+    # materializing two full-width f32 copies of the batch
+    cos = np.einsum("ij,ij->i", emb_a, emb_b, dtype=np.float32)
+    path_jw = jaro_winkler(path_a, path_b)
+    repo_jw = jaro_winkler(repo_a, repo_b)
+    return pa.table({
+        "id_a": id_a,
+        "id_b": id_b,
+        "est_jaccard": est_j.astype(np.float32),
+        "cosine": cos,
+        "path_jw": path_jw,
+        "path_lev": levenshtein_ratio(path_a, path_b, max_len=64),
+        "repo_jw": repo_jw,
+        "score": combine_scores(w, est_j, cos, path_jw, repo_jw),
+        "accepted": (est_j >= cfg.jaccard_accept) & (cos >= cfg.cosine_accept),
+    })
 
 
 def _gpu_args(scoring: ScoringConfig) -> dict:
@@ -135,44 +162,21 @@ class PairScorer:
         from ..state.model_ckpt import scorer_weights
 
         self.cfg = scoring
-        self.num_hashes = blocking.num_hashes
         self.w = scorer_weights(scoring)  # model state, loaded once per actor
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from .blocking import binary_matrix
 
-        emb_a = binary_matrix(batch["emb_a"], np.float16)
-        emb_b = binary_matrix(batch["emb_b"], np.float16)
-        est_j = batch["est_jaccard"].to_numpy()
-        # f32-accumulating einsum over the f16 rows: bit-identical to
-        # astype(f32)+dot (einsum casts per buffered chunk) without
-        # materializing two full-width f32 copies of the batch
-        cos = np.einsum("ij,ij->i", emb_a, emb_b, dtype=np.float32)
-        path_jw = jaro_winkler(self._col(batch, "path_a"), self._col(batch, "path_b"))
-        path_lev = levenshtein_ratio(
-            self._col(batch, "path_a"), self._col(batch, "path_b"), max_len=64
+        return score_kernel(
+            self.cfg,
+            self.w,
+            batch["id_a"],
+            batch["id_b"],
+            batch["est_jaccard"].to_numpy(),
+            binary_matrix(batch["emb_a"], np.float16),
+            binary_matrix(batch["emb_b"], np.float16),
+            *(batch[c].combine_chunks() for c in ("path_a", "path_b", "repo_a", "repo_b")),
         )
-        repo_jw = jaro_winkler(self._col(batch, "repo_a"), self._col(batch, "repo_b"))
-        score = combine_scores(self.w, est_j, cos, path_jw, repo_jw)
-        accepted = (est_j >= self.cfg.jaccard_accept) & (cos >= self.cfg.cosine_accept)
-        return pa.table(
-            {
-                "id_a": batch["id_a"],
-                "id_b": batch["id_b"],
-                "est_jaccard": pa.array(est_j.astype(np.float32)),
-                "cosine": pa.array(cos),
-                "path_jw": pa.array(path_jw),
-                "path_lev": pa.array(path_lev),
-                "repo_jw": pa.array(repo_jw),
-                "score": pa.array(score),
-                "accepted": pa.array(accepted),
-            }
-        )
-
-    @staticmethod
-    def _col(batch: pa.Table, name: str) -> pa.Array:
-        c = batch[name]
-        return c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
 
 
 def score_pairs(
@@ -251,23 +255,21 @@ def _collect_feature_shards(features: "ray.data.Dataset") -> list:
     table pattern at honest scale).  record_id is a uniform 63-bit
     fingerprint (ingest.py), so equal-width ranges are balanced without
     a quantile pass."""
-    import ray as _ray
-
     from ..util import cluster_cpus
 
     refs = features.to_arrow_refs()
     n_shards = max(2, min(16, cluster_cpus() // 2))
     span = 1 << 63
     bounds = [span * i // n_shards for i in range(n_shards + 1)]
-    # fractional CPU: split/merge tasks must be schedulable WHILE the
-    # scorer actors (whose __init__ blocks on their output) hold their
-    # reservations — at num_cpus=2 full-CPU tasks here deadlock the
-    # whole stage (see the fractional-cpu rule on JOIN_AGG_ARGS)
-    split = _ray.remote(num_returns=n_shards, num_cpus=0.25)(_split_feature_block)
-    merge = _ray.remote(num_cpus=0.25)(_merge_shard)
+    # whole-CPU tasks: they queue behind Ray Data tasks on the warm
+    # worker pool (a fractional request makes the raylet start extra
+    # workers for them).  The score tasks that ray.get these shards give
+    # up their CPU while blocked, so this cannot deadlock; only actor
+    # pools whose constructors wait on an object ref need fractional
+    # helpers (see JOIN_AGG_ARGS)
+    split = ray.remote(num_returns=n_shards)(_split_feature_block)
+    merge = ray.remote(_merge_shard)
     slice_refs = [split.remote(bounds, r) for r in refs]
-    if n_shards == 1:
-        slice_refs = [[r] for r in slice_refs]
     return [merge.remote(*[sl[s] for sl in slice_refs]) for s in range(n_shards)]
 
 
@@ -340,31 +342,20 @@ class _BroadcastShardViews:
         ib = np.searchsorted(self.ids, b)
         est_j = estimate_jaccard(self._gather(self.sigs, ia), self._gather(self.sigs, ib))
         keep = est_j >= self.cfg.jaccard_accept
-        ia, ib, est_j = ia[keep], ib[keep], est_j[keep]
+        ia, ib = ia[keep], ib[keep]
         take_a, take_b = pa.array(ia), pa.array(ib)
-        emb_a = self._gather(self.embs, ia)
-        emb_b = self._gather(self.embs, ib)
-        # f32-accumulating einsum over the f16 rows (see PairScorer)
-        cos = np.einsum("ij,ij->i", emb_a, emb_b, dtype=np.float32)
-        path_a, path_b = pc.take(self.path, take_a), pc.take(self.path, take_b)
-        repo_a, repo_b = pc.take(self.repo, take_a), pc.take(self.repo, take_b)
-        path_jw = jaro_winkler(path_a, path_b)
-        path_lev = levenshtein_ratio(path_a, path_b, max_len=64)
-        repo_jw = jaro_winkler(repo_a, repo_b)
-        score = combine_scores(self.w, est_j, cos, path_jw, repo_jw)
-        accepted = (est_j >= self.cfg.jaccard_accept) & (cos >= self.cfg.cosine_accept)
-        return pa.table(
-            {
-                "id_a": pa.array(batch["id_a"].to_numpy()[keep]),
-                "id_b": pa.array(batch["id_b"].to_numpy()[keep]),
-                "est_jaccard": pa.array(est_j),
-                "cosine": pa.array(cos),
-                "path_jw": pa.array(path_jw),
-                "path_lev": pa.array(path_lev),
-                "repo_jw": pa.array(repo_jw),
-                "score": pa.array(score),
-                "accepted": pa.array(accepted),
-            }
+        return score_kernel(
+            self.cfg,
+            self.w,
+            pa.array(a[keep]),
+            pa.array(b[keep]),
+            est_j[keep],
+            self._gather(self.embs, ia),
+            self._gather(self.embs, ib),
+            pc.take(self.path, take_a),
+            pc.take(self.path, take_b),
+            pc.take(self.repo, take_a),
+            pc.take(self.repo, take_b),
         )
 
 
@@ -377,34 +368,14 @@ _VIEWS_CACHE: dict[tuple, _BroadcastShardViews] = {}
 
 
 def _broadcast_views(shard_refs, scoring: ScoringConfig) -> _BroadcastShardViews:
-    import ray as _ray
-
     key = (tuple(r.hex() for r in shard_refs), repr(scoring))
     views = _VIEWS_CACHE.get(key)
     if views is None:
-        shards = [t for t in _ray.get(list(shard_refs)) if len(t)]
+        shards = [t for t in ray.get(list(shard_refs)) if len(t)]
         views = _BroadcastShardViews(shards, scoring)
         _VIEWS_CACHE.clear()
         _VIEWS_CACHE[key] = views
     return views
-
-
-class BroadcastPairScorer:
-    """Actor-form wrapper over :class:`_BroadcastShardViews` (kept for
-    callers that want an explicit actor pool, e.g. GPU scoring where
-    the worker set must be pinned); the flagship broadcast path now
-    scores with stateless tasks + the per-worker views cache instead —
-    see :func:`score_pairs_broadcast`."""
-
-    def __init__(self, shard_refs, scoring: ScoringConfig):
-        import ray as _ray
-
-        self._views = _BroadcastShardViews(
-            [t for t in _ray.get(list(shard_refs)) if len(t)], scoring
-        )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return self._views.score(batch)
 
 
 def score_pairs_broadcast(

@@ -304,3 +304,72 @@ def test_incremental_chain_two_deltas_equals_full_run(tiny_corpus, tmp_path):
     assert len(got) == len(want)
     assert (got.record_id.to_numpy() == want.record_id.to_numpy()).all()
     assert (got.cluster_id.to_numpy() == want.cluster_id.to_numpy()).all()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_incremental_empty_delta_returns_base_clusters(tiny_corpus, tmp_path):
+    """A zero-row delta links to nothing: the result is the base's
+    cluster table, unchanged."""
+    from pathlib import Path
+
+    from mel_ray.pipelines.linkage import run_linkage, run_linkage_incremental
+
+    files = sorted(str(f) for f in (Path(tiny_corpus) / "files").rglob("*.parquet"))
+    empty = tmp_path / "empty.parquet"
+    pq.write_table(pq.read_table(files[-1]).slice(0, 0), empty)
+
+    base = run_linkage(files[:-1])
+    inc = run_linkage_incremental(base, [str(empty)])
+
+    cols = ["record_id", "cluster_id", "repo", "path", "sha256"]
+    want = base.clusters.to_pandas()[cols].sort_values("record_id").reset_index(drop=True)
+    got = inc.clusters.to_pandas()[cols].sort_values("record_id").reset_index(drop=True)
+    assert len(want) > 0
+    assert got.equals(want)
+    assert inc.stats["new_rows"] == 0
+    assert inc.scored_pairs.count() == 0
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_session_stats_sink_keeps_runs_apart(tiny_corpus, tmp_path):
+    """One StatsSink actor serves the whole session: each run reads only
+    its own band accounting and drops its entries afterwards."""
+    from pathlib import Path
+
+    import pyarrow as pa
+    import ray
+
+    from mel_ray.pipelines.linkage import run_linkage
+    from mel_ray.state.accounting import new_stats_sink, session_stats_sink
+
+    files = sorted(str(f) for f in (Path(tiny_corpus) / "files").rglob("*.parquet"))
+    t = pq.read_table(files[0])
+    n = 100  # exact copies of one record: every band run exceeds salt_limit=64
+    copies = t.slice(0, 1).take(np.zeros(n, dtype=np.int64))
+    copies = copies.set_column(
+        copies.schema.get_field_index("path"),
+        "path",
+        pa.array([f"vendor{i:03d}/copied.py" for i in range(n)]),
+    )
+    planted = tmp_path / "planted"
+    planted.mkdir()
+    pq.write_table(pa.concat_tables([t, copies]), planted / "part-0.parquet")
+
+    sink = session_stats_sink()
+    # a run still in flight: its counts must not leak into the others
+    other = new_stats_sink()
+    ray.get(other.put.remote("blocking", 0, {"salted_bands": 1000}))
+    before = set(ray.get(sink.runs.remote()))
+    first: dict = {}
+    for corpus in [str(planted), str(tiny_corpus / "files")] * 2:
+        bands = run_linkage(corpus).stats["blocking_bands"]
+        assert bands == first.setdefault(corpus, bands), corpus
+        assert set(ray.get(sink.runs.remote())) <= before
+    assert ray.get(other.totals.remote("blocking")) == {"salted_bands": 1000}
+    ray.get(other.drop.remote())
+    # the checkpointed plan counts bands through sentinel rows, not the sink
+    for i, (corpus, bands) in enumerate(first.items()):
+        ck = LinkageConfig(checkpoint_dir=str(tmp_path / f"ck{i}"))
+        assert run_linkage(corpus, ck).stats["blocking_bands"] == bands, corpus
+    assert first[str(planted)]["salted_bands"] >= LinkageConfig().blocking.num_bands
+    assert first[str(planted)] != first[str(tiny_corpus / "files")]
