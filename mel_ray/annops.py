@@ -611,12 +611,7 @@ def emb_near_dupes_lsh(
     banding probability (~(1-(1-p^r)^b)).  No all-pairs matmul, no
     driver state."""
     from .functions.hashing import U64, splitmix64
-    from .stages.blocking import (
-        _binary_rows,
-        _emit_pairs_for_bucket,
-        binary_matrix,
-        dedup_pairs,
-    )
+    from .stages.blocking import _binary_rows, binary_matrix, bucket_pairs
     from .stages.scoring import JOIN_AGG_ARGS, _rename
     from .util import auto_join_partitions
 
@@ -651,18 +646,7 @@ def emb_near_dupes_lsh(
 
     cfg = BlockingConfig(num_buckets=num_buckets)
 
-    cands = (
-        units.map_batches(band_rows, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(lambda g: _emit_pairs_for_bucket(g, cfg), batch_format="pyarrow")
-        .map_batches(
-            lambda t: t.filter(
-                pa.compute.not_equal(t["id_a"], pa.scalar(-1, pa.int64()))
-            ).select(["id_a", "id_b"]),
-            batch_format="pyarrow",
-        )
-    )
-    cands = dedup_pairs(cands, num_buckets)
+    cands = bucket_pairs(units.map_batches(band_rows, batch_format="pyarrow"), cfg)
 
     nparts = auto_join_partitions(None, units.count())
     ua = _rename(units, {"vec_id": "id_a", "unit": "unit_a"}, ["vec_id", "unit"])

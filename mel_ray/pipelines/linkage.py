@@ -68,7 +68,7 @@ def run_linkage(
     renames: dict[str, str] | None = None,
 ) -> LinkageResult:
     cfg = cfg or LinkageConfig()
-    from ..util import auto_join_partitions, shuffle_partitions
+    from ..util import shuffle_partitions
 
     # Push-based (pipelined, merge-factor) sort shuffle for the two
     # band/bucket exchanges: the stage profile (BENCH/BASELINE.md,
@@ -79,20 +79,14 @@ def run_linkage(
     # both shuffles are semantics-preserving physical plans).
     ray.data.DataContext.get_current().use_push_based_shuffle = True
 
-    join_parts = auto_join_partitions(cfg.join_partitions)
     ckpt = StageCheckpointer(
         cfg.checkpoint_dir,
         fingerprint_inputs=[corpus_path],
         config_token=repr((cfg.blocking, cfg.scoring, cfg.clustering, renames)),
     )
 
-    # no checkpoint dir -> STREAMING plan: pairs flow straight from the
-    # band groupby into the scorer (no pair-stage materialization, no
-    # coalescing repartitions — the read is sized to shuffle-ready
-    # blocks instead, and band accounting goes to a keyed sink actor).
-    # Each avoided barrier/AllToAll is fixed wall-clock that does not
-    # shrink with cluster size (round-5 profile: ~12 s of exchange
-    # coordination in the pair stage at EVERY cpu count).
+    # no checkpoint dir -> STREAMING plan (see _link); the read is sized
+    # to shuffle-ready blocks so no coalescing repartition is needed.
     streaming = cfg.checkpoint_dir is None
     records = I.ingest(
         I.read_corpus(
@@ -102,23 +96,6 @@ def run_linkage(
         renames=renames,
     )
 
-    def _featurize(ds: "ray.data.Dataset") -> "ray.data.Dataset":
-        # batch_size bounds the kernel's transient working set (~15 uint64
-        # temporaries per content byte): small batches keep each worker's
-        # arrays inside its warm malloc pool / cache instead of faulting
-        # fresh pages every call — first-touch is ~100 MB/s on
-        # cgroup-limited hosts, so page faults, not compute, dominate big
-        # batches.  Measured at sf0.1/32cpu: 128 ≈ 64 < 256 ≈ 512 < 1024
-        # (~2x stage win for 128 vs 1024, consistent across samples).
-        return ds.map_batches(
-            lambda b: B.featurize_batch(
-                b, cfg.blocking, cfg.scoring.embed_dim, cfg.scoring.embed_kgram
-            ),
-            batch_format="pyarrow",
-            batch_size=128,
-            zero_copy_batch=True,
-        )
-
     shard_groups = _input_shard_groups(corpus_path) if cfg.checkpoint_dir else None
     if shard_groups and len(shard_groups) > 1:
         # per-partition resume: each input-shard group is an independently
@@ -127,43 +104,62 @@ def run_linkage(
         features = ckpt.through_partitioned(
             "features",
             shard_groups,
-            lambda files: _featurize(I.ingest(I.read_corpus(files), renames=renames)),
+            lambda files: B.featurize(I.ingest(I.read_corpus(files), renames=renames), cfg),
         )
     else:
-        features = ckpt.through("features", lambda: _featurize(records))
+        features = ckpt.through("features", lambda: B.featurize(records, cfg))
+    return _link(ckpt, features, cfg, coalesce=not streaming)
+
+
+def _link(
+    ckpt: StageCheckpointer,
+    features: "ray.data.Dataset",
+    cfg: LinkageConfig,
+    coalesce: bool,
+    pair_filter=None,
+    extra_edges: "ray.data.Dataset | None" = None,
+) -> LinkageResult:
+    """features -> candidate pairs -> scored pairs -> components ->
+    clusters: the one plan behind :func:`run_linkage` and
+    :func:`run_linkage_incremental`.
+
+    Without a checkpoint dir the plan STREAMS: pairs flow straight from
+    the band groupby into the scorer, with no pair-stage
+    materialization.  Each avoided barrier/AllToAll is fixed wall-clock
+    that does not shrink with cluster size (round-5 profile: ~12 s of
+    exchange coordination in the pair stage at EVERY cpu count).  With
+    one, the pair stage is committed like every other stage.  Band
+    accounting goes to the session's stats sink either way; a committed
+    pair stage keeps its totals in its manifest, so a restored run still
+    reports them.  ``pair_filter`` and ``coalesce`` go to
+    :func:`~mel_ray.stages.blocking.candidate_pairs`; ``extra_edges``
+    (u, v) join the accepted pairs before connected components."""
+    from ..state.accounting import new_stats_sink
+    from ..util import auto_join_partitions
+
+    join_parts = auto_join_partitions(cfg.join_partitions)
+    streaming = ckpt.root is None
+    sink = new_stats_sink()  # this run's token on the session sink
+
+    def build_pairs() -> "ray.data.Dataset":
+        return B.candidate_pairs(
+            features, cfg.blocking, stats_sink=sink, coalesce=coalesce, pair_filter=pair_filter
+        )
 
     if streaming:
-        from ..state.accounting import new_stats_sink
-
-        sink = new_stats_sink()  # this run's token on the session sink
-        pairs = B.candidate_pairs(
-            features, cfg.blocking, stats_sink=sink, coalesce=False
-        )
+        pairs = build_pairs()
     else:
-        pairs_full = ckpt.through(
-            "pairs", lambda: B.candidate_pairs(features, cfg.blocking, keep_stats=True)
-        )
-        # band accounting (no-silent-caps): the stats rows rode through
-        # the pair shuffle; summing them over the materialized stage is
-        # cheap, and the accounting rides the checkpoint Parquet itself
-        ckpt.stats["blocking_bands"] = B.extract_band_stats(pairs_full)
-        pairs = B.strip_band_stats(pairs_full)
-
+        pairs = ckpt.through("pairs", build_pairs, counts=lambda: B.band_totals(sink))
     scored = ckpt.through(
         "scored",
         lambda: S.score_pairs_auto(
             pairs, features, cfg.scoring, cfg.blocking, join_parts, fan_out=not streaming
         ),
     )
-    if streaming:
-        # scored is materialized, so every emit task has run and (via the
-        # in-task ray.get) recorded its bucket's counts — totals are final
-        totals = ray.get(sink.totals.remote("blocking"))
-        ray.get(sink.drop.remote())
-        ckpt.stats["blocking_bands"] = {
-            k: totals.get(k, 0)
-            for k in ("dropped_bands", "salted_bands", "capped_groups")
-        }
+    # scored is materialized, so every emit task has run and (via the
+    # in-task ray.get) recorded its bucket's counts — totals are final
+    ckpt.stats["blocking_bands"] = B.band_totals(sink) if streaming else ckpt.counts["pairs"]
+    ray.get(sink.drop.remote())
 
     edges = scored.map_batches(
         lambda t: t.filter(pa.compute.equal(t["accepted"], True))
@@ -171,11 +167,13 @@ def run_linkage(
         .rename_columns(["u", "v"]),
         batch_format="pyarrow",
     )
+    if extra_edges is not None:
+        edges = edges.union(extra_edges)
     comp = ckpt.through("components", lambda: C.connected_components(edges, cfg.clustering))
 
-    # derive the slim id table from the MATERIALIZED features — `records`
-    # is lazy, so selecting from it here would re-execute the entire
-    # ingest scan (read + sha256 + remap) inside the clusters stage
+    # derive the slim id table from the MATERIALIZED features — selecting
+    # from the lazy records would re-execute the entire ingest scan
+    # (read + sha256 + remap) inside the clusters stage
     slim = features.map_batches(
         lambda t: t.select(["record_id", "repo", "path", "sha256"]), batch_format="pyarrow"
     )
@@ -191,6 +189,17 @@ def run_linkage(
     return LinkageResult(
         clusters=clusters, scored_pairs=scored, stats=ckpt.stats, features=features
     )
+
+
+def _sorted_ids(*parts: pa.Table) -> np.ndarray:
+    return np.sort(np.concatenate([t["record_id"].to_numpy() for t in parts]))
+
+
+def _label_edges(t: pa.Table) -> pa.Table:
+    """clusters -> (cluster_id, record_id) edges; singletons need none
+    (assign_clusters re-singletons them)."""
+    e = t.select(["cluster_id", "record_id"]).rename_columns(["u", "v"])
+    return e.filter(pa.compute.not_equal(e["u"], e["v"]))
 
 
 def run_linkage_incremental(
@@ -213,9 +222,9 @@ def run_linkage_incremental(
     * candidate generation runs the UNCHANGED band expansion + bucket
       emission over base ∪ delta features, so stopband drops, salting
       and per-run caps see the same run lengths and make the same
-      decisions as a full run; pairs are then filtered to those
-      touching ≥1 delta record — exactly the full run's pair set minus
-      base-base pairs;
+      decisions as a full run (and the band accounting equals the full
+      run's); pairs are then filtered to those touching ≥1 delta
+      record — exactly the full run's pair set minus base-base pairs;
     * base-base connectivity is already summarized by the base cluster
       labels: ``components(closure(E_bb) ∪ E_new) = components(E_bb ∪
       E_new)``, so feeding (record_id, cluster_id) label edges plus the
@@ -231,107 +240,48 @@ def run_linkage_incremental(
     features stage) — content bytes of the base corpus are never
     re-read."""
     cfg = cfg or LinkageConfig()
-    from ..stages.blocking import dedup_pairs, expand_bands_batch, _emit_pairs_for_bucket
-    from ..util import auto_join_partitions, shuffle_partitions
-
     if base.features is None:
         raise ValueError(
             "base LinkageResult carries no feature table; run run_linkage() "
             "(which materializes features) or restore it from a checkpoint"
         )
     ray.data.DataContext.get_current().use_push_based_shuffle = True
-    join_parts = auto_join_partitions(cfg.join_partitions)
 
-    new_features = I.ingest(I.read_corpus(new_corpus_path), renames=renames).map_batches(
-        lambda b: B.featurize_batch(
-            b, cfg.blocking, cfg.scoring.embed_dim, cfg.scoring.embed_kgram
-        ),
-        batch_format="pyarrow",
-        batch_size=128,
-        zero_copy_batch=True,
+    new_features = B.featurize(
+        I.ingest(I.read_corpus(new_corpus_path), renames=renames), cfg
     ).materialize()
-    all_features = base.features.union(new_features).materialize()
+    new_rows = new_features.count()
+    if new_rows:
+        all_features = base.features.union(new_features)
+        # broadcast the sorted delta-id array (worker assembly task; the
+        # driver only holds the ref — same discipline as assign_clusters)
+        ids_ref = ray.remote(_sorted_ids).remote(*new_features.to_arrow_refs())
 
-    # broadcast the sorted delta-id array (worker assembly task; the
-    # driver only holds the ref — same discipline as assign_clusters)
-    def _assemble_ids(*parts):
-        # an empty delta materializes as schema-less row-less blocks
-        ids = [t["record_id"].to_numpy(zero_copy_only=False) for t in parts if len(t)]
-        return np.sort(np.concatenate(ids)) if ids else np.empty(0, dtype=np.int64)
+        def touch(t: pa.Table) -> pa.Table:
+            # keep the pairs touching the delta, before the dedup exchange
+            ids = C.cached_get(ids_ref)
 
-    ids_ref = ray.remote(_assemble_ids).remote(
-        *new_features.to_arrow_refs()
+            def isin(x):
+                return ids[np.minimum(np.searchsorted(ids, x), len(ids) - 1)] == x
+
+            return t.filter(pa.array(isin(t["id_a"].to_numpy()) | isin(t["id_b"].to_numpy())))
+    else:
+        # a zero-row delta materializes as schema-less blocks: union none
+        # of them into the base features, and no pair touches it
+        all_features, touch = base.features, lambda t: t.slice(0, 0)
+
+    # restored base features are not sized to shuffle_partitions(), so
+    # the band rows are coalesced before their exchange
+    res = _link(
+        StageCheckpointer(None),
+        all_features.materialize(),
+        cfg,
+        coalesce=True,
+        pair_filter=touch,
+        extra_edges=base.clusters.map_batches(_label_edges, batch_format="pyarrow"),
     )
-
-    # same pair semantics as candidate_pairs (granularity rule included),
-    # with a touching-delta filter BEFORE the dedup exchange so base-base
-    # pairs never enter the second shuffle
-    n_buckets = min(cfg.blocking.num_buckets, 8 * shuffle_partitions())
-    bands = all_features.map_batches(
-        lambda b: expand_bands_batch(b, cfg.blocking, num_buckets=n_buckets),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).repartition(shuffle_partitions())
-    grouped = bands.groupby("bucket").map_groups(
-        lambda g: _emit_pairs_for_bucket(g, cfg.blocking),
-        batch_format="pyarrow",
-    )
-
-    def touch_filter(t: pa.Table) -> pa.Table:
-        t = t.filter(
-            pa.compute.not_equal(t["id_a"], pa.scalar(-1, pa.int64()))
-        ).select(["id_a", "id_b"])
-        ids = C.cached_get(ids_ref)
-        if not len(ids):
-            return t.slice(0, 0)
-        a = t["id_a"].to_numpy(zero_copy_only=False)
-        b = t["id_b"].to_numpy(zero_copy_only=False)
-
-        def isin(x):
-            return ids[np.minimum(np.searchsorted(ids, x), len(ids) - 1)] == x
-
-        return t.filter(pa.array(isin(a) | isin(b)))
-
-    pairs = dedup_pairs(
-        grouped.map_batches(touch_filter, batch_format="pyarrow"),
-        cfg.blocking.num_buckets,
-        coalesce=False,
-    )
-    scored = S.score_pairs_auto(
-        pairs, all_features, cfg.scoring, cfg.blocking, join_parts, fan_out=False
-    ).materialize()
-
-    new_edges = scored.map_batches(
-        lambda t: t.filter(pa.compute.equal(t["accepted"], True))
-        .select(["id_a", "id_b"])
-        .rename_columns(["u", "v"]),
-        batch_format="pyarrow",
-    )
-    # base connectivity as label edges (singletons need no edge: their
-    # record_id == cluster_id rows are dropped, they re-singleton via
-    # assign_clusters)
-    def _label_edges(t: pa.Table) -> pa.Table:
-        e = t.select(["cluster_id", "record_id"]).rename_columns(["u", "v"])
-        return e.filter(pa.compute.not_equal(e["u"], e["v"]))
-
-    base_edges = base.clusters.map_batches(_label_edges, batch_format="pyarrow")
-    comp = C.connected_components(new_edges.union(base_edges), cfg.clustering)
-    slim = all_features.map_batches(
-        lambda t: t.select(["record_id", "repo", "path", "sha256"]),
-        batch_format="pyarrow",
-    )
-    clusters = C.assign_clusters(
-        slim,
-        comp,
-        join_parts,
-        broadcast_limit_rows=cfg.clustering.assign_broadcast_limit_rows,
-    )
-    return LinkageResult(
-        clusters=clusters,
-        scored_pairs=scored,
-        stats={"incremental": True, "new_rows": new_features.count()},
-        features=all_features,
-    )
+    res.stats.update(incremental=True, new_rows=new_rows)
+    return res
 
 
 def cluster_representatives(
@@ -391,56 +341,42 @@ def save_result_checkpoint(res: LinkageResult, checkpoint_dir: str) -> dict:
     committed, then delta₂ links against it, and so on (chaining is
     exact: see the two-delta associativity test in tests/test_linkage.py).
 
-    Same atomic layout as StageCheckpointer.through: data lands in a
-    temp dir, one rename per stage is the commit point, manifest last.
-    The fingerprint records the result's provenance dict rather than an
-    input path list (an incremental base has no single input dir)."""
+    Every stage is committed (state.manifest.commit_stage) under a temp
+    root inside ``checkpoint_dir``, and the stages are swapped in only
+    once all writes have finished: the result may still read lazily from
+    the checkpoint it replaces (restore -> incremental -> commit in
+    place).  The fingerprint records the result's provenance dict rather
+    than an input path list (an incremental base has no single input
+    dir)."""
     import hashlib
-    import json
     import os
     import shutil
-    import time
+    import tempfile
     from pathlib import Path
 
-    import pyarrow.parquet as pq
+    from ..state.manifest import commit_stage
 
-    root = Path(checkpoint_dir)
-    root.mkdir(parents=True, exist_ok=True)
-    fingerprint = hashlib.sha256(
-        repr(sorted(res.stats.items(), key=lambda kv: kv[0])).encode()
-    ).hexdigest()[:16]
-    out: dict = {}
     stages = {"features": res.features, "clusters": res.clusters}
     if res.scored_pairs is not None:
         stages["scored"] = res.scored_pairs
     for name, ds in stages.items():
         if ds is None:
             raise ValueError(f"result carries no '{name}' dataset")
-        stage_dir = root / name
-        data_dir = stage_dir / "data"
-        tmp = stage_dir / ".tmp-data"
-        shutil.rmtree(stage_dir, ignore_errors=True)
-        tmp.mkdir(parents=True, exist_ok=True)
-        t0 = time.time()
-        ds.write_parquet(str(tmp))
-        partitions, total = [], 0
-        for f in sorted(tmp.glob("*.parquet")):
-            rows = pq.read_metadata(f).num_rows
-            partitions.append({"file": f.name, "rows": rows, "done": True})
-            total += rows
-        os.rename(tmp, data_dir)
-        (stage_dir / "manifest.json").write_text(
-            json.dumps(
-                {
-                    "stage": name,
-                    "input_fingerprint": fingerprint,
-                    "row_count": total,
-                    "partitions": partitions,
-                    "wall_sec": round(time.time() - t0, 3),
-                },
-                indent=1,
-                sort_keys=True,
-            )
-        )
-        out[name] = total
+    fingerprint = hashlib.sha256(
+        repr(sorted(res.stats.items(), key=lambda kv: kv[0])).encode()
+    ).hexdigest()[:16]
+    root = Path(checkpoint_dir)
+    root.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".commit-", dir=root))
+    try:
+        out = {
+            name: commit_stage(staging / name, ds, fingerprint)["row_count"]
+            for name, ds in stages.items()
+        }
+        for name in stages:
+            if (root / name).exists():
+                os.rename(root / name, staging / f"{name}.old")
+            os.rename(staging / name, root / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return out

@@ -26,8 +26,9 @@ Skew handling (north rule: "salted band keys to defuse skew"):
   (license/boilerplate content) must be bounded;
 * runs larger than ``stopband_limit`` are dropped entirely, the
   stop-"word" cap analogue of the reference's per-token-array top-R cap
-  (README.md:117-119).  Every drop is counted in the emitted
-  ``__stats`` rows so lineage manifests can account for them.
+  (README.md:117-119).  Every drop, salted run and capped run is
+  counted, and the counts go out of band to the run's stats sink
+  (state/accounting.py), never into the pair rows.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import pyarrow as pa
 
 import ray.data
 
-from ..config import BlockingConfig
+from ..config import BlockingConfig, LinkageConfig
 from ..functions.embed import embed_strings
 from ..functions.hashing import U64, splitmix64
 from ..functions.minhash import band_keys, minhash_signature
@@ -78,6 +79,23 @@ def featurize_batch(batch: pa.Table, cfg: BlockingConfig, embed_dim: int, embed_
             "sig": _binary_rows(np.ascontiguousarray(sig32)),
             "emb": _binary_rows(np.ascontiguousarray(emb.astype(np.float16))),
         }
+    )
+
+
+def featurize(ds: "ray.data.Dataset", cfg: LinkageConfig) -> "ray.data.Dataset":
+    """records -> features: :func:`featurize_batch` over the dataset."""
+    # batch_size bounds the kernel's transient working set (~15 uint64
+    # temporaries per content byte): small batches keep each worker's
+    # arrays inside its warm malloc pool / cache instead of faulting
+    # fresh pages every call — first-touch is ~100 MB/s on
+    # cgroup-limited hosts, so page faults, not compute, dominate big
+    # batches.  Measured at sf0.1/32cpu: 128 ≈ 64 < 256 ≈ 512 < 1024
+    # (~2x stage win for 128 vs 1024, consistent across samples).
+    return ds.map_batches(
+        lambda b: featurize_batch(b, cfg.blocking, cfg.scoring.embed_dim, cfg.scoring.embed_kgram),
+        batch_format="pyarrow",
+        batch_size=128,
+        zero_copy_batch=True,
     )
 
 
@@ -150,8 +168,12 @@ def expand_bands_batch(
     )
 
 
-def _emit_pairs_for_bucket(group: pa.Table, cfg: BlockingConfig, sink=None) -> pa.Table:
-    """Vectorized pair emission for all band runs inside one bucket.
+BAND_COUNTS = ("dropped_bands", "salted_bands", "capped_groups")
+
+
+def _emit_pairs_for_bucket(group: pa.Table, cfg: BlockingConfig) -> tuple[pa.Table, dict]:
+    """Vectorized pair emission for all band runs inside one bucket ->
+    (pairs ``id_a < id_b``, band counts keyed by :data:`BAND_COUNTS`).
 
     Arrow-native in AND out: returning a pandas frame would re-attach
     pandas schema metadata to the block, which makes the schema
@@ -172,8 +194,6 @@ def _emit_pairs_for_bucket(group: pa.Table, cfg: BlockingConfig, sink=None) -> p
 
     out_a: list[np.ndarray] = []
     out_b: list[np.ndarray] = []
-    n_dropped_bands = 0
-    n_salted_bands = 0
     n_capped_groups = 0
 
     # stopbands: drop mega-runs entirely
@@ -228,90 +248,78 @@ def _emit_pairs_for_bucket(group: pa.Table, cfg: BlockingConfig, sink=None) -> p
             out_a.append(mem[:, iu].reshape(-1))
             out_b.append(mem[:, ju].reshape(-1))
 
-    if out_a:
-        a = np.concatenate(out_a)
-        b = np.concatenate(out_b)
-    else:
-        a = np.empty(0, dtype=np.int64)
-        b = np.empty(0, dtype=np.int64)
-    bucket_id = int(group["bucket"][0].as_py()) if len(group) else 0
-    if sink is not None:
-        # streaming accounting: record per-bucket counts in the keyed
-        # sink actor instead of emitting sentinel rows.  The ray.get
-        # makes "this emit task finished" imply "its counts are
-        # recorded", so totals read after the consuming stage
-        # materializes are race-free; keyed overwrite makes task
-        # retries idempotent (state/accounting.py).
-        import ray as _ray
-
-        _ray.get(
-            sink.put.remote(
-                "blocking",
-                bucket_id,
-                {
-                    "dropped_bands": n_dropped_bands,
-                    "salted_bands": n_salted_bands,
-                    "capped_groups": n_capped_groups,
-                },
-            )
-        )
-        return pa.table({"id_a": pa.array(a), "id_b": pa.array(b)})
-    # one stats row per bucket rides along (band accounting for the
-    # lineage manifest): id_a == -1 marks it, id_b = -(bucket+2) keeps it
-    # unique so it survives pair dedup; callers filter by id_a == -1
-    stats_a = np.array([-1], dtype=np.int64)
-    return pa.table(
+    empty = np.empty(0, dtype=np.int64)
+    pairs = pa.table(
         {
-            "id_a": pa.array(np.concatenate([a, stats_a])),
-            "id_b": pa.array(
-                np.concatenate([b, np.array([-(bucket_id + 2)], dtype=np.int64)])
-            ),
-            "dropped_bands": pa.array(
-                np.concatenate(
-                    [np.zeros(len(a), np.int32), np.array([n_dropped_bands], np.int32)]
-                )
-            ),
-            "salted_bands": pa.array(
-                np.concatenate(
-                    [np.zeros(len(a), np.int32), np.array([n_salted_bands], np.int32)]
-                )
-            ),
-            "capped_groups": pa.array(
-                np.concatenate(
-                    [np.zeros(len(a), np.int32), np.array([n_capped_groups], np.int32)]
-                )
-            ),
+            "id_a": pa.array(np.concatenate(out_a) if out_a else empty),
+            "id_b": pa.array(np.concatenate(out_b) if out_b else empty),
         }
     )
+    counts = dict(zip(BAND_COUNTS, (n_dropped_bands, n_salted_bands, n_capped_groups)))
+    return pairs, counts
+
+
+def band_totals(stats_sink) -> dict:
+    """A run's band accounting summed over its buckets, zero-filled.  Read
+    it once the stage that consumes the pairs has finished."""
+    totals = ray.get(stats_sink.totals.remote("blocking"))
+    return {k: totals.get(k, 0) for k in BAND_COUNTS}
+
+
+def bucket_pairs(
+    bands: "ray.data.Dataset",
+    cfg: BlockingConfig,
+    stats_sink=None,
+    pair_filter=None,
+    coalesce: bool = True,
+) -> "ray.data.Dataset":
+    """band rows (record_id, band_hash, bucket) -> globally-unique pairs:
+    groupby(bucket) -> emit -> ``pair_filter`` -> dedup.
+
+    Band accounting (the no-silent-caps contract for stopband drops,
+    salting and caps) goes to ``stats_sink`` (state/accounting.py), keyed
+    by bucket; the pairs hold only ``id_a``, ``id_b``, so they stream
+    straight into the scorer.  ``pair_filter`` (pa.Table -> pa.Table)
+    drops pairs before the dedup exchange.
+
+    ``coalesce=False`` skips the pre-shuffle repartition when the caller
+    already sized the blocks to ``shuffle_partitions()`` (e.g. via
+    ``override_num_blocks`` at the read) — each repartition is a full
+    AllToAll barrier, and the round-5 profile showed the pair stage
+    dominated by exchange coordination, not CPU."""
+    from ..util import shuffle_partitions
+
+    def emit(group: pa.Table) -> pa.Table:
+        pairs, counts = _emit_pairs_for_bucket(group, cfg)
+        if stats_sink is not None and len(group):
+            # the ray.get makes "this emit task finished" imply "its
+            # counts are recorded", so totals read after the consuming
+            # stage materializes are race-free; keyed overwrite makes
+            # task retries idempotent
+            ray.get(stats_sink.put.remote("blocking", int(group["bucket"][0].as_py()), counts))
+        return pairs
+
+    # coalesce the band fragments before the sort shuffle: the groupby
+    # exchanges num_blocks x num_partitions objects, so a fragmented
+    # input makes coordination dominate (see shuffle_partitions)
+    if coalesce:
+        bands = bands.repartition(shuffle_partitions())
+    pairs = bands.groupby("bucket").map_groups(emit, batch_format="pyarrow")
+    if pair_filter is not None:
+        pairs = pairs.map_batches(pair_filter, batch_format="pyarrow")
+    # the band groupby already left shuffle_partitions() blocks
+    return dedup_pairs(pairs, cfg.num_buckets, coalesce=False)
 
 
 def candidate_pairs(
     features: "ray.data.Dataset",
     cfg: BlockingConfig,
-    keep_stats: bool = False,
     stats_sink=None,
     coalesce: bool = True,
+    pair_filter=None,
 ) -> "ray.data.Dataset":
-    """features -> globally-unique candidate pairs (id_a < id_b).
-
-    Band accounting (the no-silent-caps contract for stopband drops,
-    salting and caps) has two transports:
-
-    * ``keep_stats=True`` — per-bucket accounting rows (``id_a == -1``,
-      unique ``id_b`` per bucket) flow THROUGH dedup and come out in the
-      result, so a CHECKPOINTED pair stage carries its accounting in the
-      Parquet itself; callers extract with :func:`extract_band_stats` /
-      :func:`strip_band_stats`.
-    * ``stats_sink=<StatsSink handle>`` — counts go to the keyed sink
-      actor (state/accounting.py) and the result holds ONLY real pairs,
-      so the stage can stream straight into the scorer with no
-      materialization barrier (the no-checkpoint flagship path).
-
-    ``coalesce=False`` skips the pre-shuffle repartition when the caller
-    already sized the feature blocks to ``shuffle_partitions()`` (e.g.
-    via ``override_num_blocks`` at the read) — each repartition is a
-    full AllToAll barrier, and the round-5 profile showed the pair stage
-    dominated by exchange coordination, not CPU."""
+    """features -> globally-unique candidate pairs (id_a < id_b): band
+    expansion, then :func:`bucket_pairs` (see there for the arguments)."""
     from ..util import shuffle_partitions
 
     # exchange-key granularity: ~8 buckets per shuffle partition — coarse
@@ -326,75 +334,18 @@ def candidate_pairs(
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    # coalesce the 16x-expanded band fragments before the sort shuffle:
-    # the groupby exchanges num_blocks x num_partitions objects, so a
-    # fragmented input makes coordination dominate (see shuffle_partitions)
-    if coalesce:
-        bands = bands.repartition(shuffle_partitions())
-    grouped = bands.groupby("bucket").map_groups(
-        lambda g: _emit_pairs_for_bucket(g, cfg, sink=stats_sink),
-        batch_format="pyarrow",
-    )
-    if stats_sink is not None:
-        return dedup_pairs(grouped, cfg.num_buckets, coalesce=False)
-    if keep_stats:
-        return dedup_pairs(grouped, cfg.num_buckets, carry_stats=True, coalesce=False)
-    pairs = grouped.map_batches(
-        lambda t: t.filter(pa.compute.not_equal(t["id_a"], pa.scalar(-1, pa.int64()))).select(
-            ["id_a", "id_b"]
-        ),
-        batch_format="pyarrow",
-    )
-    return dedup_pairs(pairs, cfg.num_buckets, coalesce=False)
-
-
-def extract_band_stats(pairs_with_stats: "ray.data.Dataset") -> dict:
-    """Sum the band-accounting rows out of a ``keep_stats=True`` pair set
-    (cheap: a filter map + tiny aggregate over the materialized stage)."""
-    from ray.data.aggregate import Sum
-
-    # a checkpoint written by a pre-keep_stats build has no stats columns;
-    # treat it as zero accounting instead of failing the restore
-    names = pairs_with_stats.schema().names
-    if "dropped_bands" not in names:
-        return {"dropped_bands": 0, "salted_bands": 0, "capped_groups": 0}
-    # capped_groups was added after dropped/salted; older checkpoints
-    # may carry only the first two columns
-    stat_cols = [c for c in ("dropped_bands", "salted_bands", "capped_groups") if c in names]
-    agg = pairs_with_stats.map_batches(
-        lambda t: t.filter(pa.compute.equal(t["id_a"], pa.scalar(-1, pa.int64()))).select(
-            stat_cols
-        ),
-        batch_format="pyarrow",
-    ).aggregate(*[Sum(c) for c in stat_cols])
-    out = {c: int(agg.get(f"sum({c})") or 0) for c in stat_cols}
-    out.setdefault("capped_groups", 0)
-    return out
-
-
-def strip_band_stats(pairs_with_stats: "ray.data.Dataset") -> "ray.data.Dataset":
-    """Real pairs only (id_a, id_b) from a ``keep_stats=True`` pair set."""
-    return pairs_with_stats.map_batches(
-        lambda t: t.filter(pa.compute.not_equal(t["id_a"], pa.scalar(-1, pa.int64()))).select(
-            ["id_a", "id_b"]
-        ),
-        batch_format="pyarrow",
-    )
+    return bucket_pairs(bands, cfg, stats_sink, pair_filter, coalesce)
 
 
 def dedup_pairs(
     pairs: "ray.data.Dataset",
     num_buckets: int,
-    carry_stats: bool = False,
     coalesce: bool = True,
 ) -> "ray.data.Dataset":
     """Global pair dedup (multi-band duplicates; D2 analogue —
     ``OnlyOnceDataset``, reference ``only_once_dataset.py:8-23`` — made
     deterministic under a shuffle: bucket by pair hash, unique within).
 
-    ``carry_stats=True`` keeps the ``dropped_bands`` / ``salted_bands``
-    columns through the shuffle (stats rows have unique keys, so they
-    all survive; real pairs carry zeros — 8 B/row of extra width).
     ``coalesce=False`` skips the pre-shuffle repartition when the input
     block count already matches ``shuffle_partitions()`` (e.g. pair
     blocks straight out of the band groupby) — a no-op repartition is
@@ -408,8 +359,7 @@ def dedup_pairs(
     def add_bucket(batch: pa.Table) -> pa.Table:
         from ..functions.hashing import hash_pairs64
 
-        if not carry_stats:
-            batch = batch.select(["id_a", "id_b"])
+        batch = batch.select(["id_a", "id_b"])
         h = hash_pairs64(batch["id_a"].to_numpy(), batch["id_b"].to_numpy())
         return batch.append_column(
             "bucket", pa.array((h % U64(n_buckets)).astype(np.int32))
@@ -422,12 +372,7 @@ def dedup_pairs(
         a, b = a[order], b[order]
         keep = np.ones(len(a), dtype=bool)
         keep[1:] = (np.diff(a) != 0) | (np.diff(b) != 0)
-        out = {"id_a": pa.array(a[keep]), "id_b": pa.array(b[keep])}
-        if carry_stats:
-            for c in ("dropped_bands", "salted_bands", "capped_groups"):
-                if c in group.column_names:
-                    out[c] = pa.array(group[c].to_numpy()[order][keep])
-        return pa.table(out)
+        return pa.table({"id_a": pa.array(a[keep]), "id_b": pa.array(b[keep])})
 
     bucketed = pairs.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
     if coalesce:

@@ -101,14 +101,7 @@ def _register_builtins() -> None:
         from ..config import LinkageConfig as LC
         from . import blocking as B
 
-        cfg = ctx if ctx is not None else LC()
-        return ds.map_batches(
-            lambda b: B.featurize_batch(
-                b, cfg.blocking, cfg.scoring.embed_dim, cfg.scoring.embed_kgram
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
+        return B.featurize(ds, ctx if ctx is not None else LC())
 
     @register_stage(
         "candidate_pairs",

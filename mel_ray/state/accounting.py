@@ -1,17 +1,16 @@
-"""Shared accounting sink for streaming stages (no-silent-caps without a
-materialization barrier).
+"""Shared accounting sink: the one band-accounting channel (no-silent-caps
+without a materialization barrier).
 
 The blocking stage's band accounting (dropped / salted / capped groups)
-originally rode the pair dataset as sentinel rows, which forced the pair
-stage to MATERIALIZE so a second consumer could sum them (round-4
-layout: pipelines/linkage.py + blocking.extract_band_stats).  When the
-pipeline streams pairs straight into the scorer, the counts are instead
-recorded in this tiny actor, KEYED BY (run, stage, bucket) so task
-retries / speculative re-execution overwrite rather than double-count
-(per-bucket values are deterministic) and consecutive or concurrent runs
-never mix.  Producers ``ray.get`` their put so a finished producer task
-implies a recorded entry; reading totals after the consuming stage
-materializes is therefore race-free.
+is recorded out of band in this tiny actor, never in the pair rows, so
+pairs stream straight into the scorer.  Entries are KEYED BY (run,
+stage, bucket) so task retries / speculative re-execution overwrite
+rather than double-count (per-bucket values are deterministic) and
+consecutive or concurrent runs never mix.  Producers ``ray.get`` their
+put so a finished producer task implies a recorded entry; reading totals
+after the consuming stage materializes is therefore race-free.  A
+checkpointed pair stage copies its run's totals into its stage manifest
+(state/manifest.py), so a restored run reports them without re-emitting.
 
 ONE sink actor serves a whole driver session, because every new actor is
 a new worker process (interpreter start-up + imports) that each warm run

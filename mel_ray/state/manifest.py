@@ -3,11 +3,12 @@
 Recast of the reference's idempotence contract — the shell loop's
 "skip stage if its dir is non-empty"
 (``src/scripts/train/all_langs_no_slurm.sh:47-110``) — made atomic and
-verifiable: each stage writes to a temp dir, the manifest records the
-input fingerprint and per-file (partition) row counts, and the rename
-is the commit point.  A rerun with the same input fingerprint streams
-the stage back from Parquet instead of recomputing; a torn run (temp
-dir present, no manifest) is discarded and recomputed.
+verifiable: each stage writes to a temp dir that a rename publishes,
+and the manifest, written last, is the commit point: it records the
+input fingerprint, per-file (partition) row counts and any side counts
+of the stage (a pair stage's band accounting).  A rerun with the same
+input fingerprint streams the stage back from Parquet instead of
+recomputing; a torn run (no manifest) is discarded and recomputed.
 
 Partition-level resume: output files are the stage's partitions; the
 manifest lists them individually so an external scheduler can verify /
@@ -56,9 +57,43 @@ def _input_fingerprint(paths: list[str]) -> str:
 # bump whenever a stage's on-disk format changes (binary encodings,
 # column layout) so stale checkpoints from older code are rebuilt, not
 # silently restored with the wrong decode.
-# v3: partitioned stages write part-{pid} subdirectories + journal.jsonl
-#     (and keep_stats pair checkpoints carry accounting columns).
-FORMAT_VERSION = 4
+# v3: partitioned stages write part-{pid} subdirectories + journal.jsonl.
+# v5: pair stages hold only (id_a, id_b); their band counts live in the
+#     stage manifest's "counts".
+FORMAT_VERSION = 5
+
+
+def commit_stage(
+    stage_dir: Path,
+    ds: "ray.data.Dataset",
+    fingerprint: str,
+    counts: Callable[[], dict] | None = None,
+) -> dict:
+    """Write ``ds`` as the stage at the new or emptied ``stage_dir`` and
+    return its manifest.  The data lands in a temp dir, the rename
+    publishes it, and the manifest, written last, is the commit point.
+    ``counts()`` is called after the write, so it sees every task that
+    built the data, and its dict is kept in the manifest."""
+    tmp = stage_dir / ".tmp-data"
+    tmp.mkdir(parents=True)
+    t0 = time.time()
+    ds.write_parquet(str(tmp))
+    partitions = [
+        {"file": f.name, "rows": pq.read_metadata(f).num_rows, "done": True}
+        for f in sorted(tmp.glob("*.parquet"))
+    ]
+    os.rename(tmp, stage_dir / "data")
+    manifest = {
+        "stage": stage_dir.name,
+        "input_fingerprint": fingerprint,
+        "row_count": sum(p["rows"] for p in partitions),
+        "partitions": partitions,
+        "wall_sec": round(time.time() - t0, 3),
+    }
+    if counts is not None:
+        manifest["counts"] = counts()
+    (stage_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    return manifest
 
 
 class StageCheckpointer:
@@ -81,10 +116,17 @@ class StageCheckpointer:
         else:
             self.fingerprint = ""
         self.stats: dict[str, Any] = {}
+        self.counts: dict[str, dict] = {}
 
     def through(
-        self, name: str, builder: Callable[[], "ray.data.Dataset"]
+        self,
+        name: str,
+        builder: Callable[[], "ray.data.Dataset"],
+        counts: Callable[[], dict] | None = None,
     ) -> "ray.data.Dataset":
+        """Run-or-restore a stage.  ``counts()``, read once the stage is
+        built, is kept with it and lands in ``self.counts[name]`` on both
+        build and restore."""
         if self.root is None:
             # No checkpoint dir: stage boundary = object-store materialization
             # (consumed by multiple downstream branches / iterative stages;
@@ -97,39 +139,26 @@ class StageCheckpointer:
                 "rows": ds.count(),
                 "wall_sec": round(time.time() - t0, 3),
             }
+            if counts is not None:
+                self.counts[name] = counts()
             return ds
         stage_dir = self.root / name
-        data_dir = stage_dir / "data"
         manifest_path = stage_dir / "manifest.json"
-        if manifest_path.exists():
-            manifest = json.loads(manifest_path.read_text())
-            if manifest.get("input_fingerprint") == self.fingerprint:
-                self.stats[name] = {"restored": True, "rows": manifest["row_count"]}
-                return ray.data.read_parquet(str(data_dir))
-            # stale checkpoint for different input: rebuild
+        manifest = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
+        if manifest.get("input_fingerprint") == self.fingerprint:
+            self.stats[name] = {"restored": True, "rows": manifest["row_count"]}
+        else:
+            # no checkpoint, a torn one, or a stale one for different input: rebuild
             shutil.rmtree(stage_dir, ignore_errors=True)
-        tmp = stage_dir / ".tmp-data"
-        shutil.rmtree(tmp, ignore_errors=True)
-        tmp.mkdir(parents=True, exist_ok=True)
-        t0 = time.time()
-        builder().write_parquet(str(tmp))
-        partitions = []
-        total = 0
-        for f in sorted(tmp.glob("*.parquet")):
-            rows = pq.read_metadata(f).num_rows
-            partitions.append({"file": f.name, "rows": rows, "done": True})
-            total += rows
-        os.rename(tmp, data_dir)
-        manifest = {
-            "stage": name,
-            "input_fingerprint": self.fingerprint,
-            "row_count": total,
-            "partitions": partitions,
-            "wall_sec": round(time.time() - t0, 3),
-        }
-        manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
-        self.stats[name] = {"restored": False, "rows": total, "wall_sec": manifest["wall_sec"]}
-        return ray.data.read_parquet(str(data_dir))
+            manifest = commit_stage(stage_dir, builder(), self.fingerprint, counts)
+            self.stats[name] = {
+                "restored": False,
+                "rows": manifest["row_count"],
+                "wall_sec": manifest["wall_sec"],
+            }
+        if counts is not None:
+            self.counts[name] = manifest["counts"]
+        return ray.data.read_parquet(str(stage_dir / "data"))
 
     def through_partitioned(
         self,

@@ -21,7 +21,7 @@ from .functions.hashing import U64, splitmix64
 from .functions.minhash import minhash_signature
 from .functions.shingles import word_ngram_hashes
 from .functions.simhash import simhash64
-from .stages.blocking import _binary_rows, _emit_pairs_for_bucket, dedup_pairs
+from .stages.blocking import _binary_rows, bucket_pairs
 from .util import round_half_away
 
 
@@ -589,18 +589,7 @@ def doc_simhash_pairs(sf_dir: str, max_hamming: int = 8):
             }
         )
 
-    cands = (
-        fps.map_batches(expand, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(lambda g: _emit_pairs_for_bucket(g, cfg), batch_format="pyarrow")
-        .map_batches(
-            lambda t: t.filter(pc.not_equal(t["id_a"], pa.scalar(-1, pa.int64()))).select(
-                ["id_a", "id_b"]
-            ),
-            batch_format="pyarrow",
-        )
-    )
-    cands = dedup_pairs(cands, cfg.num_buckets)
+    cands = bucket_pairs(fps.map_batches(expand, batch_format="pyarrow"), cfg)
 
     # exact verify: fingerprints arrive by hash join (8 B/row), scale-safe
     from .stages.scoring import JOIN_AGG_ARGS, _rename

@@ -331,6 +331,99 @@ def test_incremental_empty_delta_returns_base_clusters(tiny_corpus, tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_incremental_commit_in_place_equals_full_run(tiny_corpus, tmp_path):
+    """Daily loop with one checkpoint dir (``run_linkage_job.py
+    --commit-checkpoint`` equal to ``--checkpoint-dir``): restore ->
+    incremental -> commit into the same dir -> restore again gives the
+    clusters of a from-scratch run over base ∪ delta.  A lazily restored
+    result committed over itself must survive too: its writes read the
+    very stages they replace."""
+    from pathlib import Path
+
+    from mel_ray.pipelines.linkage import (
+        load_result_from_checkpoint,
+        run_linkage,
+        run_linkage_incremental,
+        save_result_checkpoint,
+    )
+
+    files = sorted(str(f) for f in (Path(tiny_corpus) / "files").rglob("*.parquet"))
+    ck = str(tmp_path / "ck")
+    run_linkage(files[:-1], LinkageConfig(checkpoint_dir=ck))
+    save_result_checkpoint(run_linkage_incremental(load_result_from_checkpoint(ck), files[-1:]), ck)
+    save_result_checkpoint(load_result_from_checkpoint(ck), ck)
+
+    cols = ["record_id", "cluster_id", "repo", "path", "sha256"]
+    full = run_linkage(str(tiny_corpus / "files"))
+    want = full.clusters.to_pandas()[cols].sort_values("record_id").reset_index(drop=True)
+    got = load_result_from_checkpoint(ck).clusters.to_pandas()[cols]
+    assert got.sort_values("record_id").reset_index(drop=True).equals(want)
+    assert not [p for p in Path(ck).iterdir() if p.name.startswith(".")]  # staging removed
+
+
+def _planted(tiny_corpus, n: int = 100):
+    """Shard 0 of the tiny corpus plus ``n`` exact copies of its first
+    record at distinct vendored paths: with n=100 every band run of the
+    copies exceeds salt_limit=64."""
+    from pathlib import Path
+
+    import pyarrow as pa
+
+    files = sorted(str(f) for f in (Path(tiny_corpus) / "files").rglob("*.parquet"))
+    t = pq.read_table(files[0])
+    copies = t.slice(0, 1).take(np.zeros(n, dtype=np.int64))
+    copies = copies.set_column(
+        copies.schema.get_field_index("path"),
+        "path",
+        pa.array([f"vendor{i:03d}/copied.py" for i in range(n)]),
+    )
+    return pa.concat_tables([t, copies])
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_restored_checkpointed_run_reports_band_accounting(tiny_corpus, tmp_path):
+    """The checkpointed pair stage keeps its band counts in its manifest:
+    a rerun that restores every stage reports the same accounting."""
+    from mel_ray.pipelines.linkage import run_linkage
+
+    planted = tmp_path / "planted"
+    planted.mkdir()
+    pq.write_table(_planted(tiny_corpus), planted / "part-0.parquet")
+    cfg = LinkageConfig(checkpoint_dir=str(tmp_path / "ck"))
+
+    built = run_linkage(str(planted), cfg).stats
+    restored = run_linkage(str(planted), cfg).stats
+    stages = ("features", "pairs", "scored", "components", "clusters")
+    assert not any(built[s]["restored"] for s in stages)
+    assert all(restored[s]["restored"] for s in stages)
+    assert restored["blocking_bands"] == built["blocking_bands"]
+    assert built["blocking_bands"]["salted_bands"] >= cfg.blocking.num_bands
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_incremental_reports_band_accounting(tiny_corpus, tmp_path):
+    """Incremental emission runs over base ∪ delta, so its band
+    accounting equals a from-scratch run's, salted runs that only the
+    union crosses included."""
+    from mel_ray.pipelines.linkage import run_linkage, run_linkage_incremental
+
+    planted = _planted(tiny_corpus)
+    paths = {}
+    for name, rows in [
+        ("all", np.arange(len(planted))),
+        ("base", np.arange(0, len(planted), 2)),  # 50 copies: below salt_limit
+        ("delta", np.arange(1, len(planted), 2)),
+    ]:
+        paths[name] = [str(tmp_path / f"{name}.parquet")]
+        pq.write_table(planted.take(rows), paths[name][0])
+
+    full = run_linkage(paths["all"]).stats["blocking_bands"]
+    inc = run_linkage_incremental(run_linkage(paths["base"]), paths["delta"])
+    assert inc.stats["blocking_bands"] == full
+    assert full["salted_bands"] >= LinkageConfig().blocking.num_bands
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_session_stats_sink_keeps_runs_apart(tiny_corpus, tmp_path):
     """One StatsSink actor serves the whole session: each run reads only
     its own band accounting and drops its entries afterwards."""
@@ -367,7 +460,7 @@ def test_session_stats_sink_keeps_runs_apart(tiny_corpus, tmp_path):
         assert set(ray.get(sink.runs.remote())) <= before
     assert ray.get(other.totals.remote("blocking")) == {"salted_bands": 1000}
     ray.get(other.drop.remote())
-    # the checkpointed plan counts bands through sentinel rows, not the sink
+    # the checkpointed plan reads the same counts from its committed pair stage
     for i, (corpus, bands) in enumerate(first.items()):
         ck = LinkageConfig(checkpoint_dir=str(tmp_path / f"ck{i}"))
         assert run_linkage(corpus, ck).stats["blocking_bands"] == bands, corpus

@@ -44,23 +44,27 @@ class TestRegistry:
 
     def test_band_stats_surfaced(self, tiny_corpus):
         """no-silent-caps: candidate_pairs reports dropped/salted band
-        counts when asked (they may be zero on the tiny corpus, but the
-        keys must exist and be non-negative ints)."""
+        counts to a stats sink when given one (they may be zero on the
+        tiny corpus, but the keys must exist and be non-negative ints)."""
+        import ray
+
         from mel_ray.config import LinkageConfig
         from mel_ray.stages import blocking as B
         from mel_ray.stages import ingest as I
         from mel_ray.stages.registry import run_stages
+        from mel_ray.state.accounting import new_stats_sink
 
         cfg = LinkageConfig()
         feats = run_stages(
             ["ingest", "featurize"], I.read_corpus(str(tiny_corpus / "files")), cfg
         )
-        pairs_full = B.candidate_pairs(feats, cfg.blocking, keep_stats=True).materialize()
-        stats = B.extract_band_stats(pairs_full)
-        pairs = B.strip_band_stats(pairs_full)
+        sink = new_stats_sink()
+        pairs = B.candidate_pairs(feats, cfg.blocking, stats_sink=sink).materialize()
+        stats = ray.get(sink.totals.remote("blocking"))
+        ray.get(sink.drop.remote())
         assert pairs.count() > 0
         assert stats["dropped_bands"] >= 0 and stats["salted_bands"] >= 0
-        # plain path: no stats rows in the output
+        # plain path: the same pairs without a sink
         plain = B.candidate_pairs(feats, cfg.blocking).to_pandas()
         assert (plain.id_a >= 0).all()
         assert len(plain) == pairs.count()
