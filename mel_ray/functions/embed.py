@@ -17,7 +17,7 @@ import numpy as np
 import pyarrow as pa
 
 from .hashing import U64, string_array_buffers
-from .shingles import char_kgram_hashes
+from .shingles import kgram_hashes_at_every_byte
 
 DEFAULT_DIM = 256
 DEFAULT_K = 4
@@ -26,30 +26,41 @@ DEFAULT_K = 4
 def embed_strings(
     arr: pa.Array | pa.ChunkedArray, dim: int = DEFAULT_DIM, k: int = DEFAULT_K
 ) -> np.ndarray:
-    """(N, dim) float32 L2-normalized hashed char-k-gram embeddings."""
+    """(N, dim) float32 L2-normalized hashed char-k-gram embeddings.
+
+    Every k-gram of a row (a row shorter than ``k``: its whole bytes, as
+    one gram) adds +1 or -1 (bit 32 of its hash) to bucket ``hash % dim``
+    of the row.  The grams come from
+    :func:`~mel_ray.functions.shingles.kgram_hashes_at_every_byte`, which
+    hashes every byte position without a per-gram gather.  Each
+    position's integer key ``row*2*dim + bucket*2 + signbit`` is counted
+    with one unweighted ``bincount``; a second, small ``bincount`` over
+    the tail positions (which start no gram) is subtracted.  The counts
+    are integers, so ``positive - negative`` cast to float32 is exactly
+    the float32 of a float64 ±1 sum.
+    """
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
     data, offsets = string_array_buffers(arr)
     n = len(offsets) - 1
     if n == 0:
         return np.empty((0, dim), dtype=np.float32)
-    values, out_off = char_kgram_hashes(data, offsets, k)
-    counts = (out_off[1:] - out_off[:-1]).astype(np.int64)
-    # flat scatter index: repeat the row base (row*dim), add the bucket
-    # in place; power-of-two dims use a mask instead of a u64 division
-    flat_idx = np.repeat(np.arange(n, dtype=np.int64) * dim, counts)
+    h, tail = kgram_hashes_at_every_byte(data, offsets, k)
+    signbit = h >> U64(32)
+    signbit &= U64(1)
+    # power-of-two dims use a mask instead of a u64 division
     if dim & (dim - 1) == 0:
-        bucket = values & U64(dim - 1)
+        h &= U64(dim - 1)
     else:
-        bucket = values % U64(dim)
-    flat_idx += bucket.astype(np.int64)
-    # bincount weights are accumulated in float64 regardless — build the
-    # sign there directly (one temp instead of bool+f64+f32 chains)
-    sign = ((values >> U64(32)) & U64(1)).astype(np.float64)
-    sign *= 2.0
-    sign -= 1.0
-    mat = np.bincount(flat_idx, weights=sign, minlength=n * dim).reshape(n, dim)
-    mat = mat.astype(np.float32)
+        np.remainder(h, U64(dim), out=h)
+    h <<= U64(1)
+    h |= signbit
+    key = h.view(np.int64)
+    key += np.repeat(np.arange(n, dtype=np.int64) * (2 * dim), offsets[1:] - offsets[:-1])
+    counts = np.bincount(key, minlength=2 * n * dim)
+    counts -= np.bincount(key[tail], minlength=2 * n * dim)
+    counts = counts.reshape(n, dim, 2)
+    mat = (counts[:, :, 1] - counts[:, :, 0]).astype(np.float32)
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     np.maximum(norms, 1e-12, out=norms)
     return mat / norms

@@ -62,6 +62,15 @@ def _powers(n: int, base: int) -> np.ndarray:
         return np.cumprod(p, dtype=U64)
 
 
+# low level of the two-level power tables (see substring_hasher)
+_BLOCK_BITS = 12
+_BLOCK = 1 << _BLOCK_BITS
+_LO = _powers(_BLOCK, _B)
+_LO_INV = _powers(_BLOCK, _B_INV)
+_B_BLOCK = pow(_B, _BLOCK, 1 << 64)
+_B_INV_BLOCK = pow(_B_INV, _BLOCK, 1 << 64)
+
+
 def substring_hasher(data: np.ndarray):
     """Build an O(1)-per-span polynomial hasher over a byte buffer.
 
@@ -70,20 +79,33 @@ def substring_hasher(data: np.ndarray):
     where the hash of bytes ``data[i:j]`` is
     ``mix(sum_t data[i+t] * B**t  +  B**(j-i))`` — the trailing length
     term distinguishes prefixes of zero bytes.
+
+    Powers come from a two-level table, ``B**i = lo[i % 4096] *
+    hi[i // 4096]``: ``lo`` is a fixed 4096-entry module constant and
+    ``hi`` (one entry per 4096 bytes) is built per call, so the
+    length-N ``B**-i`` weights are one vectorized outer product instead
+    of a serial length-N ``cumprod``, and ``B**i`` is only evaluated at
+    the span edges.  Full-size tables are deliberately not cached: the
+    callers hash whole blocks (``hash_strings64``), so a cache would pin
+    memory in every worker sized by the largest buffer it ever saw.
     """
     n = len(data)
-    pw = _powers(n + 1, _B)
-    pw_inv = _powers(n + 1, _B_INV)
+    n_hi = n // _BLOCK + 1
+    hi = _powers(n_hi, _B_BLOCK)
     with np.errstate(over="ignore"):
-        weighted = data.astype(U64) * pw_inv[:n]
+        weighted = np.multiply.outer(_powers(n_hi, _B_INV_BLOCK), _LO_INV).reshape(-1)[:n]
+        weighted *= data
         csum = np.zeros(n + 1, dtype=U64)
         np.cumsum(weighted, dtype=U64, out=csum[1:])
+
+    def pw(i: np.ndarray) -> np.ndarray:
+        return _LO[i & (_BLOCK - 1)] * hi[i >> _BLOCK_BITS]
 
     def hash_spans(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         s = np.asarray(starts, dtype=np.int64)
         e = np.asarray(ends, dtype=np.int64)
         with np.errstate(over="ignore"):
-            h = (csum[e] - csum[s]) * pw[s] + pw[e - s]
+            h = (csum[e] - csum[s]) * pw(s) + pw(e - s)
         return splitmix64(h)
 
     return hash_spans

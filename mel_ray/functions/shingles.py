@@ -24,14 +24,13 @@ import pyarrow.compute as pc
 
 from .hashing import U64, splitmix64, splitmix64_inplace, string_array_buffers, substring_hasher
 
-_NORM_LEAD = r"(?m)^[ \t]+"
-_NORM_TRAIL = r"(?m)[ \t]+$"
+# per-line leading OR trailing blanks, both in one RE2 pass
+_NORM_EDGES = r"(?m)^[ \t]+|[ \t]+$"
 
 
 def normalize_lines(arr: pa.Array | pa.ChunkedArray) -> pa.Array:
     """Strip per-line leading/trailing whitespace (RE2 via Arrow, C++)."""
-    out = pc.replace_substring_regex(arr, pattern=_NORM_LEAD, replacement="")
-    out = pc.replace_substring_regex(out, pattern=_NORM_TRAIL, replacement="")
+    out = pc.replace_substring_regex(arr, pattern=_NORM_EDGES, replacement="")
     if isinstance(out, pa.ChunkedArray):
         out = out.combine_chunks()
     return out
@@ -81,98 +80,66 @@ def char_kgram_hashes(
     ``data``/``row_offsets`` as from :func:`string_array_buffers`.
     Returns ``(values:uint64[M], out_offsets:int64[N+1])``; rows shorter
     than ``k`` contribute a single whole-row hash.
-
-    For ``k <= 8`` a gram fits one little-endian uint64 word, so the
-    hash is a direct window load + splitmix64 — ~10x cheaper than the
-    general polynomial-prefix path (which needs two length-N power
-    tables and four gathers per gram).  The featurize hot path (embed
-    k-grams, k=4) always takes the fast branch.
     """
-    n_rows = len(row_offsets) - 1
     lens = row_offsets[1:] - row_offsets[:-1]
     n_grams = np.maximum(lens - k + 1, np.minimum(lens, 1)).astype(np.int64)
-
-    out_offsets = np.zeros(n_rows + 1, dtype=np.int64)
+    out_offsets = np.zeros(len(lens) + 1, dtype=np.int64)
     np.cumsum(n_grams, out=out_offsets[1:])
-    total = int(out_offsets[-1])
-    if total == 0:
-        return np.empty(0, dtype=U64), out_offsets
-    if 1 <= k <= 8:
-        return _kgram_hashes_word(data, row_offsets, lens, n_grams, out_offsets, k)
-
-    hasher = substring_hasher(data)
-    # Global start index of every k-gram: for each row, row_start + arange(n_grams).
-    starts = np.repeat(row_offsets[:-1], n_grams) + (
-        np.arange(total) - np.repeat(out_offsets[:-1], n_grams)
-    )
-    gram_len = np.repeat(np.minimum(lens, k), n_grams)
-    values = hasher(starts, starts + gram_len)
-    return values, out_offsets
+    h, tail = kgram_hashes_at_every_byte(data, row_offsets, k)
+    keep = np.ones(len(h), dtype=bool)
+    keep[tail] = False
+    return h[keep], out_offsets
 
 
-def _kgram_hashes_word(
-    data: np.ndarray,
-    row_offsets: np.ndarray,
-    lens: np.ndarray,
-    n_grams: np.ndarray,
-    out_offsets: np.ndarray,
-    k: int,
+def kgram_hashes_at_every_byte(
+    data: np.ndarray, row_offsets: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """k<=8 fast path: gram bytes packed little-endian into uint64,
-    XORed with a per-gram-length salt (so a short row's whole-row gram
-    cannot collide with a k-gram sharing a zero-padded prefix), then
-    splitmix64.
+    """``(h:uint64[len(data)], tail:int64[T])``: ``h[p]`` is the hash of
+    the k-gram starting at byte ``p``, except that a row shorter than
+    ``k`` holds its one whole-row gram at its first byte; ``tail`` lists
+    the positions that start no gram of their row (the last
+    ``min(len, k) - 1`` bytes of each row), whose ``h`` is garbage.
+    ``data`` must be exactly the rows' bytes (``row_offsets[0] == 0``,
+    ``row_offsets[-1] == len(data)``), as :func:`string_array_buffers`
+    returns them.
 
-    The window load is an UNALIGNED uint64 view over the byte buffer
-    (stride 1 byte): ``wv[i]`` reads bytes ``i..i+7`` directly, so each
-    gram costs ONE 8-byte gather + mask instead of a k-pass shift-OR
-    window build — the previous build moved ~100 B of temporary traffic
-    per content byte, which made featurize DRAM-bound and capped its
-    8->32-CPU scaling at 1.55x on a shared-bandwidth host."""
-    total = int(out_offsets[-1])
-    len_salt = splitmix64(np.arange(k + 1, dtype=U64) + U64(0xA11CE))
-    pad = np.zeros(len(data) + 8, dtype=np.uint8)
-    pad[: len(data)] = data  # one compact copy; 8-byte zero tail
-    wv = np.ndarray(shape=(len(data) + 1,), dtype="<u8", buffer=pad, strides=(1,))
-    mask = U64((1 << (8 * k)) - 1) if k < 8 else U64(0xFFFFFFFFFFFFFFFF)
-
-    long_rows = lens >= k
-    if long_rows.all():
-        # row-major gram order == output order: gather, no scatter
-        local = np.arange(total) - np.repeat(out_offsets[:-1], n_grams)
-        gidx = np.repeat(row_offsets[:-1], n_grams)
-        gidx += local
-        vals = wv[gidx]
-        vals &= mask
-        vals ^= len_salt[k]
-        splitmix64_inplace(vals)
-        return vals, out_offsets
-
-    values = np.empty(total, dtype=U64)
-    if long_rows.any():
-        cnt = n_grams[long_rows]
-        ccs = np.zeros(len(cnt) + 1, dtype=np.int64)
-        np.cumsum(cnt, out=ccs[1:])
-        local = np.arange(ccs[-1]) - np.repeat(ccs[:-1], cnt)
-        gidx = np.repeat(row_offsets[:-1][long_rows], cnt) + local
-        out_idx = np.repeat(out_offsets[:-1][long_rows], cnt) + local
-        v = wv[gidx]
-        v &= mask
-        v ^= len_salt[k]
-        splitmix64_inplace(v)
-        values[out_idx] = v
-
-    short_rows = (lens < k) & (lens > 0)
-    if short_rows.any():
-        sl = lens[short_rows].astype(U64)
-        so = row_offsets[:-1][short_rows]
-        smask = (U64(1) << (U64(8) * sl)) - U64(1)  # sl <= 7 < 8: no overflow
+    Hashing every byte position needs no per-gram index arrays.  For
+    ``k <= 8`` a gram fits one little-endian uint64 word: the windows
+    are ONE contiguous copy of an unaligned uint64 view over the byte
+    buffer (stride 1 byte, so element ``p`` reads bytes ``p..p+7``),
+    masked to ``k`` bytes, XORed with a per-gram-length salt (so a short
+    row's whole-row gram cannot collide with a k-gram sharing a
+    zero-padded prefix) and splitmix64-mixed in place.  Longer grams
+    take the polynomial :func:`substring_hasher`.
+    """
+    nb = len(data)
+    lens = row_offsets[1:] - row_offsets[:-1]
+    short = (lens > 0) & (lens < k)
+    so, sl = row_offsets[:-1][short], lens[short]
+    if 1 <= k <= 8:
+        len_salt = splitmix64(np.arange(k + 1, dtype=U64) + U64(0xA11CE))
+        pad = np.zeros(nb + 8, dtype=np.uint8)
+        pad[:nb] = data  # 8-byte zero tail: the last windows read zeros
+        wv = np.ndarray(shape=(nb,), dtype="<u8", buffer=pad, strides=(1,))
+        h = wv.copy()
+        h &= U64((1 << (8 * k)) - 1) if k < 8 else U64(0xFFFFFFFFFFFFFFFF)
+        h ^= len_salt[k]
+        splitmix64_inplace(h)
         sval = wv[so]
-        sval &= smask
+        sval &= (U64(1) << (U64(8) * sl.astype(U64))) - U64(1)  # sl <= 7: no overflow
         sval ^= len_salt[sl]
         splitmix64_inplace(sval)
-        values[out_offsets[:-1][short_rows]] = sval
-    return values, out_offsets
+    else:
+        hasher = substring_hasher(data)
+        p = np.arange(nb, dtype=np.int64)
+        h = hasher(p, np.minimum(p + k, nb))
+        sval = hasher(so, so + sl)
+    h[so] = sval
+    t = np.maximum(np.minimum(lens, k) - 1, 0)
+    t_off = np.zeros(len(t) + 1, dtype=np.int64)
+    np.cumsum(t, out=t_off[1:])
+    tail = np.repeat(row_offsets[1:] - t - t_off[:-1], t) + np.arange(t_off[-1])
+    return h, tail
 
 
 def word_ngram_hashes(

@@ -15,6 +15,7 @@ smaller than the corpus) is ever materialized, for the CC iteration.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Any
 
@@ -60,6 +61,19 @@ class LinkageResult:
     # — carried so run_linkage_incremental can link a delta batch against
     # this result without re-featurizing the base corpus
     features: "ray.data.Dataset | None" = None
+    # feature_token() of the config that built `features`; None for a
+    # checkpoint committed without one
+    feature_token: str | None = None
+
+
+def feature_token(cfg: LinkageConfig) -> str:
+    """Token of the config that decides a record's features and band
+    runs (``blocking``, ``embed_dim``, ``embed_kgram``): features built
+    under different tokens must not be linked together."""
+    import hashlib
+
+    key = repr((cfg.blocking, cfg.scoring.embed_dim, cfg.scoring.embed_kgram))
+    return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
 def run_linkage(
@@ -83,6 +97,7 @@ def run_linkage(
         cfg.checkpoint_dir,
         fingerprint_inputs=[corpus_path],
         config_token=repr((cfg.blocking, cfg.scoring, cfg.clustering, renames)),
+        meta={"feature_token": feature_token(cfg)},
     )
 
     # no checkpoint dir -> STREAMING plan (see _link); the read is sized
@@ -187,7 +202,11 @@ def _link(
         ),
     )
     return LinkageResult(
-        clusters=clusters, scored_pairs=scored, stats=ckpt.stats, features=features
+        clusters=clusters,
+        scored_pairs=scored,
+        stats=ckpt.stats,
+        features=features,
+        feature_token=feature_token(cfg),
     )
 
 
@@ -232,6 +251,16 @@ def run_linkage_incremental(
       reproduces the full run's components, and the min-record-id label
       convention makes the labels themselves identical.
 
+    PRECONDITION: the base labels hold the base-only run's base-base
+    pairs, which equal the combined run's only when no band run changed
+    its emission because delta records joined it.  A base-only run is
+    never longer than its combined run, so this holds whenever the
+    combined run salted, dropped and capped no band at all.  ``stats
+    ["exact"]`` reports exactly that (conservative: a salted run made of
+    delta records only also makes it False); when it is False the output
+    may differ from a from-scratch run.  ``base`` must have been featurized
+    under ``cfg`` (same :func:`feature_token`), else ``ValueError``.
+
     Scale shape: the delta is featurized and scored (delta×base and
     delta×delta pairs only — the quadratic base×base scoring never
     re-runs); the one full-corpus cost is the band-key exchange over
@@ -244,6 +273,12 @@ def run_linkage_incremental(
         raise ValueError(
             "base LinkageResult carries no feature table; run run_linkage() "
             "(which materializes features) or restore it from a checkpoint"
+        )
+    if base.feature_token != feature_token(cfg):
+        raise ValueError(
+            f"base features were built under feature config token "
+            f"{base.feature_token!r}, this run's is {feature_token(cfg)!r}: link "
+            "the delta with the base's config, or re-link base ∪ delta from scratch"
         )
     ray.data.DataContext.get_current().use_push_based_shuffle = True
 
@@ -280,7 +315,9 @@ def run_linkage_incremental(
         pair_filter=touch,
         extra_edges=base.clusters.map_batches(_label_edges, batch_format="pyarrow"),
     )
-    res.stats.update(incremental=True, new_rows=new_rows)
+    res.stats.update(
+        incremental=True, new_rows=new_rows, exact=not any(res.stats["blocking_bands"].values())
+    )
     return res
 
 
@@ -331,6 +368,9 @@ def load_result_from_checkpoint(checkpoint_dir: str) -> LinkageResult:
         scored_pairs=scored,
         stats={"restored_from": str(root)},
         features=need["features"],
+        feature_token=json.loads((root / "features" / "manifest.json").read_text()).get(
+            "feature_token"
+        ),
     )
 
 
@@ -345,9 +385,10 @@ def save_result_checkpoint(res: LinkageResult, checkpoint_dir: str) -> dict:
     root inside ``checkpoint_dir``, and the stages are swapped in only
     once all writes have finished: the result may still read lazily from
     the checkpoint it replaces (restore -> incremental -> commit in
-    place).  The fingerprint records the result's provenance dict rather
-    than an input path list (an incremental base has no single input
-    dir)."""
+    place).  Each manifest records the result's feature token, which
+    :func:`run_linkage_incremental` checks on the restored base.  The
+    fingerprint records the result's provenance dict rather than an
+    input path list (an incremental base has no single input dir)."""
     import hashlib
     import os
     import shutil
@@ -370,7 +411,9 @@ def save_result_checkpoint(res: LinkageResult, checkpoint_dir: str) -> dict:
     staging = Path(tempfile.mkdtemp(prefix=".commit-", dir=root))
     try:
         out = {
-            name: commit_stage(staging / name, ds, fingerprint)["row_count"]
+            name: commit_stage(
+                staging / name, ds, fingerprint, meta={"feature_token": res.feature_token}
+            )["row_count"]
             for name, ds in stages.items()
         }
         for name in stages:

@@ -84,13 +84,16 @@ def featurize_batch(batch: pa.Table, cfg: BlockingConfig, embed_dim: int, embed_
 
 def featurize(ds: "ray.data.Dataset", cfg: LinkageConfig) -> "ray.data.Dataset":
     """records -> features: :func:`featurize_batch` over the dataset."""
-    # batch_size bounds the kernel's transient working set (~15 uint64
-    # temporaries per content byte): small batches keep each worker's
-    # arrays inside its warm malloc pool / cache instead of faulting
-    # fresh pages every call — first-touch is ~100 MB/s on
-    # cgroup-limited hosts, so page faults, not compute, dominate big
-    # batches.  Measured at sf0.1/32cpu: 128 ≈ 64 < 256 ≈ 512 < 1024
-    # (~2x stage win for 128 vs 1024, consistent across samples).
+    # batch_size bounds the kernels' transient working set: about 25
+    # bytes per content byte (embed holds three uint64 arrays over every
+    # byte), a tracemalloc peak of 5.1 MB median / 7.3 MB max per
+    # 128-row full_link batch.  Small batches keep each worker's arrays
+    # in its warm malloc pool instead of faulting fresh pages every call
+    # (first-touch is ~100 MB/s on cgroup-limited hosts).  Re-measured
+    # on perfbench full_link, 4 CPUs, alternating runs: 256 read
+    # featurize.cpu_s 2.25-2.42 s against 1.94-2.16 s for 128 (traced,
+    # seeds 601-603) and untraced cpu_s 6.20 against 5.96 s, peak_rss_mb
+    # 2,906 against 2,817 (medians, seeds 601-605), so 128 stays.
     return ds.map_batches(
         lambda b: featurize_batch(b, cfg.blocking, cfg.scoring.embed_dim, cfg.scoring.embed_kgram),
         batch_format="pyarrow",

@@ -68,12 +68,14 @@ def commit_stage(
     ds: "ray.data.Dataset",
     fingerprint: str,
     counts: Callable[[], dict] | None = None,
+    meta: dict | None = None,
 ) -> dict:
     """Write ``ds`` as the stage at the new or emptied ``stage_dir`` and
     return its manifest.  The data lands in a temp dir, the rename
     publishes it, and the manifest, written last, is the commit point.
     ``counts()`` is called after the write, so it sees every task that
-    built the data, and its dict is kept in the manifest."""
+    built the data, and its dict is kept in the manifest; so are the
+    keys of ``meta``."""
     tmp = stage_dir / ".tmp-data"
     tmp.mkdir(parents=True)
     t0 = time.time()
@@ -89,6 +91,7 @@ def commit_stage(
         "row_count": sum(p["rows"] for p in partitions),
         "partitions": partitions,
         "wall_sec": round(time.time() - t0, 3),
+        **(meta or {}),
     }
     if counts is not None:
         manifest["counts"] = counts()
@@ -97,15 +100,18 @@ def commit_stage(
 
 
 class StageCheckpointer:
-    """``through(name, builder)``: run-or-restore a stage dataset."""
+    """``through(name, builder)``: run-or-restore a stage dataset.
+    Every manifest it writes also holds the keys of ``meta``."""
 
     def __init__(
         self,
         root: str | None,
         fingerprint_inputs: list[str] | None = None,
         config_token: str = "",
+        meta: dict | None = None,
     ):
         self.root = Path(root) if root else None
+        self.meta = meta or {}
         if root:
             base = _input_fingerprint(fingerprint_inputs or [])
             import hashlib
@@ -150,7 +156,7 @@ class StageCheckpointer:
         else:
             # no checkpoint, a torn one, or a stale one for different input: rebuild
             shutil.rmtree(stage_dir, ignore_errors=True)
-            manifest = commit_stage(stage_dir, builder(), self.fingerprint, counts)
+            manifest = commit_stage(stage_dir, builder(), self.fingerprint, counts, self.meta)
             self.stats[name] = {
                 "restored": False,
                 "rows": manifest["row_count"],
@@ -251,6 +257,7 @@ class StageCheckpointer:
                 for pid in range(len(partition_tokens))
             ],
             "wall_sec": round(time.time() - t0, 3),
+            **self.meta,
         }
         manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
         self.stats[name] = {

@@ -13,10 +13,15 @@ import random
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mel_ray.functions.hashing import (
+    U64,
     hash_strings64,
     sha256_hex,
+    splitmix64,
+    splitmix64_inplace,
     string_array_buffers,
     substring_hasher,
 )
@@ -450,3 +455,275 @@ def test_binary_matrix_single_chunk_is_zero_copy():
     two = pa.chunked_array([arr.slice(0, 4), arr.slice(4, 4)])
     out2 = binary_matrix(two, np.uint32)
     assert (out2 == rows).all()
+
+
+# ---------------------------------------------------------------------------
+# Frozen references of the featurize kernels: the straightforward
+# formulations that the optimized kernels replaced (cumprod power tables,
+# two-pass normalization, per-gram gathers, MinHash over every shingle
+# occurrence, float64-weighted bincount).  The optimized kernels must
+# reproduce them bit for bit — sig and emb are persisted and compared
+# across runs, so "close" is not good enough.
+
+_REF_B = 0x100000001B3
+_REF_B_INV = pow(_REF_B, -1, 1 << 64)
+
+
+def _ref_powers(n, base):
+    if n == 0:
+        return np.empty(0, dtype=U64)
+    p = np.full(n, U64(base & ((1 << 64) - 1)), dtype=U64)
+    p[0] = U64(1)
+    with np.errstate(over="ignore"):
+        return np.cumprod(p, dtype=U64)
+
+
+def _ref_substring_hasher(data):
+    n = len(data)
+    pw = _ref_powers(n + 1, _REF_B)
+    pw_inv = _ref_powers(n + 1, _REF_B_INV)
+    with np.errstate(over="ignore"):
+        weighted = data.astype(U64) * pw_inv[:n]
+        csum = np.zeros(n + 1, dtype=U64)
+        np.cumsum(weighted, dtype=U64, out=csum[1:])
+
+    def hash_spans(starts, ends):
+        s = np.asarray(starts, dtype=np.int64)
+        e = np.asarray(ends, dtype=np.int64)
+        with np.errstate(over="ignore"):
+            h = (csum[e] - csum[s]) * pw[s] + pw[e - s]
+        return splitmix64(h)
+
+    return hash_spans
+
+
+def _ref_line_shingles(arr):
+    import pyarrow.compute as pc
+
+    norm = pc.replace_substring_regex(arr, pattern=r"(?m)^[ \t]+", replacement="")
+    norm = pc.replace_substring_regex(norm, pattern=r"(?m)[ \t]+$", replacement="")
+    data, offsets = string_array_buffers(norm)
+    n_rows = len(offsets) - 1
+    nl = np.flatnonzero(data == 0x0A)
+    starts = np.concatenate([offsets[:-1], nl + 1])
+    ends = np.concatenate([nl, offsets[1:]])
+    starts.sort(kind="stable")
+    ends.sort(kind="stable")
+    keep = ends > starts
+    starts, ends = starts[keep], ends[keep]
+    values = _ref_substring_hasher(data)(starts, ends)
+    row_of = np.searchsorted(offsets[1:], starts, side="right")
+    row_offsets = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_of, minlength=n_rows), out=row_offsets[1:])
+    return values, row_offsets
+
+
+def _ref_minhash_signature(
+    values: np.ndarray, row_offsets: np.ndarray, num_hashes: int = 128, seed: int = 0x5EED
+) -> np.ndarray:
+    n_rows = len(row_offsets) - 1
+    out = np.full((n_rows, num_hashes), U64(0xFFFFFFFFFFFFFFFF), dtype=U64)
+    if n_rows == 0:
+        return out
+    values = np.asarray(values, dtype=U64)
+    starts = np.asarray(row_offsets[:-1], dtype=np.int64)
+    empty = row_offsets[1:] == row_offsets[:-1]
+    ne = ~empty
+    if not ne.any():
+        return out
+    ne_starts = starts[ne]
+    from mel_ray.functions.minhash import seeds_for
+
+    all_seeds = seeds_for(num_hashes, seed)
+    chunk = 16
+    # preallocated (M, chunk) scratch reused across seed chunks: the mix
+    # is allocation-bound, not ALU-bound (see splitmix64_inplace)
+    mixed = np.empty((len(values), chunk), dtype=U64)
+    scratch = np.empty_like(mixed)
+    for c0 in range(0, num_hashes, chunk):
+        sd = all_seeds[c0 : c0 + chunk]
+        m = mixed[:, : len(sd)]
+        np.bitwise_xor(values[:, None], sd[None, :], out=m)
+        splitmix64_inplace(m, scratch[:, : len(sd)])
+        out[ne, c0 : c0 + len(sd)] = np.minimum.reduceat(m, ne_starts, axis=0)
+    return out
+
+
+def _ref_char_kgram_hashes(
+    data: np.ndarray, row_offsets: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    n_rows = len(row_offsets) - 1
+    lens = row_offsets[1:] - row_offsets[:-1]
+    n_grams = np.maximum(lens - k + 1, np.minimum(lens, 1)).astype(np.int64)
+
+    out_offsets = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(n_grams, out=out_offsets[1:])
+    total = int(out_offsets[-1])
+    if total == 0:
+        return np.empty(0, dtype=U64), out_offsets
+    if 1 <= k <= 8:
+        return _ref_kgram_hashes_word(data, row_offsets, lens, n_grams, out_offsets, k)
+
+    hasher = _ref_substring_hasher(data)
+    # Global start index of every k-gram: for each row, row_start + arange(n_grams).
+    starts = np.repeat(row_offsets[:-1], n_grams) + (
+        np.arange(total) - np.repeat(out_offsets[:-1], n_grams)
+    )
+    gram_len = np.repeat(np.minimum(lens, k), n_grams)
+    values = hasher(starts, starts + gram_len)
+    return values, out_offsets
+
+
+def _ref_kgram_hashes_word(
+    data: np.ndarray,
+    row_offsets: np.ndarray,
+    lens: np.ndarray,
+    n_grams: np.ndarray,
+    out_offsets: np.ndarray,
+    k: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    total = int(out_offsets[-1])
+    len_salt = splitmix64(np.arange(k + 1, dtype=U64) + U64(0xA11CE))
+    pad = np.zeros(len(data) + 8, dtype=np.uint8)
+    pad[: len(data)] = data  # one compact copy; 8-byte zero tail
+    wv = np.ndarray(shape=(len(data) + 1,), dtype="<u8", buffer=pad, strides=(1,))
+    mask = U64((1 << (8 * k)) - 1) if k < 8 else U64(0xFFFFFFFFFFFFFFFF)
+
+    long_rows = lens >= k
+    if long_rows.all():
+        # row-major gram order == output order: gather, no scatter
+        local = np.arange(total) - np.repeat(out_offsets[:-1], n_grams)
+        gidx = np.repeat(row_offsets[:-1], n_grams)
+        gidx += local
+        vals = wv[gidx]
+        vals &= mask
+        vals ^= len_salt[k]
+        splitmix64_inplace(vals)
+        return vals, out_offsets
+
+    values = np.empty(total, dtype=U64)
+    if long_rows.any():
+        cnt = n_grams[long_rows]
+        ccs = np.zeros(len(cnt) + 1, dtype=np.int64)
+        np.cumsum(cnt, out=ccs[1:])
+        local = np.arange(ccs[-1]) - np.repeat(ccs[:-1], cnt)
+        gidx = np.repeat(row_offsets[:-1][long_rows], cnt) + local
+        out_idx = np.repeat(out_offsets[:-1][long_rows], cnt) + local
+        v = wv[gidx]
+        v &= mask
+        v ^= len_salt[k]
+        splitmix64_inplace(v)
+        values[out_idx] = v
+
+    short_rows = (lens < k) & (lens > 0)
+    if short_rows.any():
+        sl = lens[short_rows].astype(U64)
+        so = row_offsets[:-1][short_rows]
+        smask = (U64(1) << (U64(8) * sl)) - U64(1)  # sl <= 7 < 8: no overflow
+        sval = wv[so]
+        sval &= smask
+        sval ^= len_salt[sl]
+        splitmix64_inplace(sval)
+        values[out_offsets[:-1][short_rows]] = sval
+    return values, out_offsets
+
+
+def _ref_embed_strings(
+    arr: pa.Array | pa.ChunkedArray, dim: int = 256, k: int = 4
+) -> np.ndarray:
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    data, offsets = string_array_buffers(arr)
+    n = len(offsets) - 1
+    if n == 0:
+        return np.empty((0, dim), dtype=np.float32)
+    values, out_off = _ref_char_kgram_hashes(data, offsets, k)
+    counts = (out_off[1:] - out_off[:-1]).astype(np.int64)
+    # flat scatter index: repeat the row base (row*dim), add the bucket
+    # in place; power-of-two dims use a mask instead of a u64 division
+    flat_idx = np.repeat(np.arange(n, dtype=np.int64) * dim, counts)
+    if dim & (dim - 1) == 0:
+        bucket = values & U64(dim - 1)
+    else:
+        bucket = values % U64(dim)
+    flat_idx += bucket.astype(np.int64)
+    # bincount weights are accumulated in float64 regardless — build the
+    # sign there directly (one temp instead of bool+f64+f32 chains)
+    sign = ((values >> U64(32)) & U64(1)).astype(np.float64)
+    sign *= 2.0
+    sign -= 1.0
+    mat = np.bincount(flat_idx, weights=sign, minlength=n * dim).reshape(n, dim)
+    mat = mat.astype(np.float32)
+    norms = np.linalg.norm(mat, axis=1, keepdims=True)
+    np.maximum(norms, 1e-12, out=norms)
+    return mat / norms
+
+
+_LONG_ROW = "".join(f"    line {i} \t\n" for i in range(600))  # > 4096 bytes
+
+PLANTED_BATCHES = {
+    "empty_content": [""],
+    "all_empty": ["", "", ""],
+    "shorter_than_k": ["a", "ab", "abc", "é", "\x00", "abcd"],
+    "zero_shingle_rows_trail": ["a\nb\nc", "x y", "", "  \n\t\n", ""],
+    "zero_shingle_row_leads": ["", " \t ", "a"],
+    "long_row": [_LONG_ROW, "short", _LONG_ROW[:4097]],
+    "long_batch": [f"row {i}\n  body {i % 7}\n" for i in range(400)],
+    "crlf": ["a \r\nb\t\r\n\r\n  c  \r\n", "a\r\nb"],
+    "whitespace_only_lines": ["  \n\t\t\n x \n \t \n", "\t", " "],
+    "non_ascii": ["héllo wörld\n中文 行 \n  ünïcödé\t\n", "日本語", "é\n é \n"],
+}
+
+KERNEL_TEXT = st.text(
+    alphabet=st.sampled_from(list(" \t\n\r\x00abcxyz_=") + ["é", "中", "😀"]), max_size=120
+)
+
+
+def _assert_kernels_match_reference(arr):
+    """Every featurize kernel bit-equal to its frozen reference on ``arr``."""
+    v, off = line_shingles(arr)
+    rv, roff = _ref_line_shingles(arr)
+    assert v.dtype == rv.dtype and np.array_equal(v, rv)
+    assert np.array_equal(off, roff)
+    for num_hashes in (128, 40):
+        got = minhash_signature(v, off, num_hashes)
+        assert np.array_equal(got, _ref_minhash_signature(v, off, num_hashes))
+    data, offsets = string_array_buffers(arr)
+    assert np.array_equal(hash_strings64(arr), _ref_substring_hasher(data)(offsets[:-1], offsets[1:]))
+    for k in (3, 4, 8, 10):
+        kv, ko = char_kgram_hashes(data, offsets, k)
+        rkv, rko = _ref_char_kgram_hashes(data, offsets, k)
+        assert np.array_equal(kv, rkv) and np.array_equal(ko, rko), k
+    for dim, k in ((256, 4), (100, 4), (64, 3), (96, 10)):
+        got = embed_strings(arr, dim=dim, k=k)
+        want = _ref_embed_strings(arr, dim=dim, k=k)
+        assert got.dtype == want.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), (dim, k)
+
+
+class TestFeaturizeKernelsBitIdentical:
+    @pytest.mark.parametrize("case", sorted(PLANTED_BATCHES))
+    def test_planted_batches(self, case):
+        _assert_kernels_match_reference(pa.array(PLANTED_BATCHES[case], pa.string()))
+
+    def test_zero_copy_slice_with_offset(self):
+        """A batch that is a zero-copy slice of a bigger block (what
+        ``map_batches`` hands featurize) hashes like a fresh array."""
+        rows = [t for case in sorted(PLANTED_BATCHES) for t in PLANTED_BATCHES[case]]
+        block = pa.array(rows, pa.string())
+        for start, length in ((3, 5), (7, 12), (len(rows) - 2, 2)):
+            piece = block.slice(start, length)
+            assert piece.offset == start
+            _assert_kernels_match_reference(piece)
+            fresh = pa.array(rows[start : start + length], pa.string())
+            assert np.array_equal(embed_strings(piece), embed_strings(fresh))
+            assert np.array_equal(line_shingles(piece)[0], line_shingles(fresh)[0])
+
+    def test_large_string_type(self):
+        _assert_kernels_match_reference(pa.array(PLANTED_BATCHES["non_ascii"], pa.large_string()))
+
+    @given(st.lists(KERNEL_TEXT, max_size=12), st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_hypothesis_corpus(self, texts, lead):
+        block = pa.array(["pad\n"] * lead + texts, pa.string())
+        _assert_kernels_match_reference(block.slice(lead))

@@ -210,6 +210,7 @@ def test_incremental_linkage_equals_full_run(tiny_corpus):
     assert len(got) == len(want)
     assert (got.record_id.to_numpy() == want.record_id.to_numpy()).all()
     assert (got.cluster_id.to_numpy() == want.cluster_id.to_numpy()).all()
+    assert inc.stats["exact"] is True  # no band salted, dropped or capped
 
     # the incremental scored set touches the delta only: every scored
     # pair has at least one member absent from the base feature table
@@ -404,7 +405,8 @@ def test_restored_checkpointed_run_reports_band_accounting(tiny_corpus, tmp_path
 def test_incremental_reports_band_accounting(tiny_corpus, tmp_path):
     """Incremental emission runs over base ∪ delta, so its band
     accounting equals a from-scratch run's, salted runs that only the
-    union crosses included."""
+    union crosses included — and the run says it may not be exact: the
+    base labels join the 50 base copies that the union's salting splits."""
     from mel_ray.pipelines.linkage import run_linkage, run_linkage_incremental
 
     planted = _planted(tiny_corpus)
@@ -421,6 +423,41 @@ def test_incremental_reports_band_accounting(tiny_corpus, tmp_path):
     inc = run_linkage_incremental(run_linkage(paths["base"]), paths["delta"])
     assert inc.stats["blocking_bands"] == full
     assert full["salted_bands"] >= LinkageConfig().blocking.num_bands
+    assert inc.stats["exact"] is False
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_incremental_rejects_base_of_other_feature_config(tiny_corpus, tmp_path):
+    """A base committed under one featurizer config must not be linked
+    with features built under another; a checkpoint without a feature
+    token is rejected too."""
+    import json
+    from pathlib import Path
+
+    from mel_ray.config import BlockingConfig
+    from mel_ray.pipelines.linkage import (
+        load_result_from_checkpoint,
+        run_linkage,
+        run_linkage_incremental,
+        save_result_checkpoint,
+    )
+
+    files = sorted(str(f) for f in (Path(tiny_corpus) / "files").rglob("*.parquet"))
+    cfg64 = LinkageConfig(blocking=BlockingConfig(num_hashes=64))
+    ck = tmp_path / "ck"
+    save_result_checkpoint(run_linkage(files[:-1], cfg64), str(ck))
+    base = load_result_from_checkpoint(str(ck))
+    with pytest.raises(ValueError, match="feature config"):
+        run_linkage_incremental(base, files[-1:])
+    inc = run_linkage_incremental(base, files[-1:], cfg64)
+    assert inc.clusters.count() == pq.read_table(files, columns=["lang"]).num_rows
+
+    manifest = ck / "features" / "manifest.json"
+    m = json.loads(manifest.read_text())
+    del m["feature_token"]
+    manifest.write_text(json.dumps(m))
+    with pytest.raises(ValueError, match="None"):
+        run_linkage_incremental(load_result_from_checkpoint(str(ck)), files[-1:], cfg64)
 
 
 @pytest.mark.usefixtures("ray_session")
