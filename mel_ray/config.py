@@ -11,12 +11,13 @@ class BlockingConfig:
     num_hashes: int = 128          # MinHash signature width K
     num_bands: int = 32            # b bands of r = K/b rows (s-curve ~0.42)
     num_buckets: int = 512         # UPPER BOUND on shuffle buckets for the
-                                   # band groupby.  Purely a parallelism /
-                                   # balance knob (pair emission is per
-                                   # band-run, not per bucket); the actual
-                                   # exchange key granularity is
-                                   # min(num_buckets, shuffle_partitions()) —
-                                   # one map_groups call per partition
+                                   # bucketed plan's band groupby.  Purely a
+                                   # parallelism / balance knob (pair
+                                   # emission is per band-run, not per
+                                   # bucket); the actual exchange key
+                                   # granularity is min(num_buckets,
+                                   # 8 * shuffle_partitions()) — about 8
+                                   # map_groups calls per partition
                                    # (round-5: 512 per-group calls dominated
                                    # the emit phase), with balance preserved
                                    # because per-run size is capped by

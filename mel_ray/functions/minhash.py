@@ -77,25 +77,29 @@ def minhash_signature(
 
 
 def band_keys(
-    sig: np.ndarray, num_bands: int
+    sig: np.ndarray, num_bands: int, lo: int = 0, hi: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fold a ``(N, K)`` signature into ``(band_id:int32[N*b], band_hash:uint64[N*b])``.
+    """Fold a ``(N, K)`` signature into ``(band_id:int32[N*b], band_hash:uint64[N*b])``
+    for the bands ``[lo, hi)`` (default all ``num_bands``; ``b = hi - lo``).
 
     K must divide evenly into ``num_bands`` bands of ``r = K // num_bands``
     rows.  The band hash folds the r signature values plus the band index,
-    so identical values in different bands never collide.  Output is laid
+    so identical values in different bands never collide, and a band's
+    hash does not depend on which range it was folded in.  Output is laid
     out row-major: record i's bands occupy ``[i*b, (i+1)*b)``.
     """
     n, k = sig.shape
     r = k // num_bands
     assert r * num_bands == k, "num_hashes must be divisible by num_bands"
-    folded = np.full((n, num_bands), U64(0x243F6A8885A308D3), dtype=U64)
-    resh = sig.reshape(n, num_bands, r)
+    hi = num_bands if hi is None else hi
+    b = hi - lo
+    folded = np.full((n, b), U64(0x243F6A8885A308D3), dtype=U64)
+    resh = sig[:, lo * r : hi * r].astype(U64, copy=False).reshape(n, b, r)
     with np.errstate(over="ignore"):
         for j in range(r):
             folded = splitmix64(folded ^ resh[:, :, j])
-        folded = splitmix64(folded ^ np.arange(num_bands, dtype=U64)[None, :])
-    band_id = np.tile(np.arange(num_bands, dtype=np.int32), n)
+        folded = splitmix64(folded ^ np.arange(lo, hi, dtype=U64)[None, :])
+    band_id = np.tile(np.arange(lo, hi, dtype=np.int32), n)
     return band_id, folded.reshape(-1)
 
 

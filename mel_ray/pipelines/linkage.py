@@ -3,14 +3,23 @@
     read_parquet(repo, path, commit, lang, content)
       -> ingest      (sha256, record_id, repo canonicalization)  [stateless tasks]
       -> featurize   (minhash sig, hashed-ngram embedding)       [stateless tasks]
-      -> blocking    (band expansion -> bucketed groupby pairs)  [hash shuffle]
-      -> attach      (pairs ⋈ features x2)                      [shuffle join]
-      -> scoring     (actor pool: est-jaccard, cosine, JW/Lev)   [actor pool]
-      -> clustering  (star-contraction connected components)     [k x groupby]
+      -> blocking    (band keys -> band runs -> unique pairs)    [see below]
+      -> scoring     (est-jaccard, cosine, JW/Lev, accept bit)   [see below]
+      -> clustering  (connected components)                      [1 task or k x groupby]
+      -> assign      (records ⋈ component labels)                [broadcast or join]
       -> clusters.parquet / metrics                              [write]
 
-Every stage streams; only the candidate-edge set (orders of magnitude
-smaller than the corpus) is ever materialized, for the CC iteration.
+One threshold picks the blocking and scoring plans: the feature row
+count against ``ScoringConfig.broadcast_limit_rows``.  At or under it,
+blocking is band-major (band-range tasks over the materialized feature
+blocks, then id-range unique tasks: no exchange) and the scorer reads a
+broadcast feature table (stateless tasks, no join).  Above it, blocking
+is bucketed (band groupby then pair-dedup groupby, two push-based sort
+exchanges) and scoring is the partitioned ``Dataset.join`` cascade with
+an actor-pool scorer.  ``res.stats["plan"]`` records the choice.
+
+Without a checkpoint dir the stages stream between materialized
+features, scored pairs and components (see :func:`_link`).
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ import numpy as np
 import pyarrow as pa
 
 import ray.data
+from ray.data.context import ShuffleStrategy
 
 from ..config import LinkageConfig
 from ..stages import blocking as B
@@ -84,14 +94,15 @@ def run_linkage(
     cfg = cfg or LinkageConfig()
     from ..util import shuffle_partitions
 
-    # Push-based (pipelined, merge-factor) sort shuffle for the two
-    # band/bucket exchanges: the stage profile (BENCH/BASELINE.md,
+    # Push-based (pipelined, merge-factor) sort shuffle for the
+    # bucketed plan's band/bucket exchanges and for clustering's
+    # groupbys: the stage profile (BENCH/BASELINE.md,
     # round-5 session 2) showed the plain sort's barrier bubbles leave
     # ~half the cores idle at >=8 CPUs while stage CPU stays constant;
     # push-based reads 5-8% faster end-to-end at 8/32 CPUs and is
     # neutral at 2 (measured A/B, same windows, outputs identical —
     # both shuffles are semantics-preserving physical plans).
-    ray.data.DataContext.get_current().use_push_based_shuffle = True
+    ray.data.DataContext.get_current().shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
 
     ckpt = StageCheckpointer(
         cfg.checkpoint_dir,
@@ -138,25 +149,42 @@ def _link(
     clusters: the one plan behind :func:`run_linkage` and
     :func:`run_linkage_incremental`.
 
-    Without a checkpoint dir the plan STREAMS: pairs flow straight from
-    the band groupby into the scorer, with no pair-stage
+    Blocking and scoring plans follow one threshold (module docstring):
+    with at most ``cfg.scoring.broadcast_limit_rows`` feature rows, the
+    band-major :func:`~mel_ray.stages.blocking.band_major_pairs` hands
+    id-range pair blocks straight to the broadcast scorer, with no
+    exchange; above it, pairs flow from the bucketed
+    :func:`~mel_ray.stages.blocking.candidate_pairs` (band groupby, then
+    dedup groupby) into the partitioned join cascade.  ``stats["plan"]``
+    records which.
+
+    Without a checkpoint dir the plan STREAMS: no pair-stage
     materialization.  Each avoided barrier/AllToAll is fixed wall-clock
     that does not shrink with cluster size (round-5 profile: ~12 s of
     exchange coordination in the pair stage at EVERY cpu count).  With
     one, the pair stage is committed like every other stage.  Band
     accounting goes to the session's stats sink either way; a committed
     pair stage keeps its totals in its manifest, so a restored run still
-    reports them.  ``pair_filter`` and ``coalesce`` go to
-    :func:`~mel_ray.stages.blocking.candidate_pairs`; ``extra_edges``
-    (u, v) join the accepted pairs before connected components."""
+    reports them.  ``pair_filter`` goes to the blocking plan, and
+    ``coalesce`` to the bucketed one; ``extra_edges`` (u, v) join the
+    accepted pairs before connected components."""
     from ..state.accounting import new_stats_sink
     from ..util import auto_join_partitions
 
     join_parts = auto_join_partitions(cfg.join_partitions)
     streaming = ckpt.root is None
     sink = new_stats_sink()  # this run's token on the session sink
+    # the threshold S.score_pairs_auto applies; count() of materialized
+    # or committed features is a metadata read
+    broadcast = features.count() <= cfg.scoring.broadcast_limit_rows
+    ckpt.stats["plan"] = {
+        "blocking": "band_major" if broadcast else "bucketed",
+        "scoring": "broadcast" if broadcast else "partitioned",
+    }
 
     def build_pairs() -> "ray.data.Dataset":
+        if broadcast:
+            return B.band_major_pairs(features, cfg.blocking, stats_sink=sink, pair_filter=pair_filter)
         return B.candidate_pairs(
             features, cfg.blocking, stats_sink=sink, coalesce=coalesce, pair_filter=pair_filter
         )
@@ -171,8 +199,9 @@ def _link(
             pairs, features, cfg.scoring, cfg.blocking, join_parts, fan_out=not streaming
         ),
     )
-    # scored is materialized, so every emit task has run and (via the
-    # in-task ray.get) recorded its bucket's counts — totals are final
+    # scored is materialized, so every emit task has run and its counts
+    # are recorded (bucketed: the in-task ray.get; band-major: the sink
+    # ran this process's puts before this totals call) — totals are final
     ckpt.stats["blocking_bands"] = B.band_totals(sink) if streaming else ckpt.counts["pairs"]
     ray.get(sink.drop.remote())
 
@@ -263,8 +292,10 @@ def run_linkage_incremental(
 
     Scale shape: the delta is featurized and scored (delta×base and
     delta×delta pairs only — the quadratic base×base scoring never
-    re-runs); the one full-corpus cost is the band-key exchange over
-    base ∪ delta band rows (linear, same partitioning as the flagship).
+    re-runs); the one full-corpus cost is band emission over base ∪
+    delta: band-range tasks over the feature blocks at or under
+    ``broadcast_limit_rows`` feature rows, the band-key exchange above
+    it (linear either way, the same plans as the flagship).
     Base features ride ``LinkageResult.features`` (or a checkpoint's
     features stage) — content bytes of the base corpus are never
     re-read."""
@@ -280,7 +311,7 @@ def run_linkage_incremental(
             f"{base.feature_token!r}, this run's is {feature_token(cfg)!r}: link "
             "the delta with the base's config, or re-link base ∪ delta from scratch"
         )
-    ray.data.DataContext.get_current().use_push_based_shuffle = True
+    ray.data.DataContext.get_current().shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
 
     new_features = B.featurize(
         I.ingest(I.read_corpus(new_corpus_path), renames=renames), cfg
@@ -306,7 +337,7 @@ def run_linkage_incremental(
         all_features, touch = base.features, lambda t: t.slice(0, 0)
 
     # restored base features are not sized to shuffle_partitions(), so
-    # the band rows are coalesced before their exchange
+    # the bucketed plan coalesces the band rows before their exchange
     res = _link(
         StageCheckpointer(None),
         all_features.materialize(),

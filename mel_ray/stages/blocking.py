@@ -10,13 +10,28 @@ architectural pivot).
 Dataflow::
 
     records --map_batches--> features (record_id, sig, emb, path, repo)
-    features --map_batches--> bands (record_id, band_id, band_hash, bucket)
+
+then one of two plans, picked by the scorer's own threshold (feature
+rows <= ``ScoringConfig.broadcast_limit_rows``, pipelines/linkage.py
+``_link``):
+
+* band-major (:func:`band_major_pairs`, under the limit): G tasks each
+  read every feature block and own a contiguous band range, emit the
+  pairs of their bands and split them by ``id_a`` range; P tasks unique
+  one id range each.  No Ray Data exchange at all.
+* bucketed (:func:`candidate_pairs`, above it)::
+
+    features --map_batches--> bands (record_id, band_hash, bucket)
     bands --groupby(bucket).map_groups--> candidate pairs (id_a < id_b)
     pairs --groupby(pair bucket).map_groups--> unique pairs
 
-The only wide ops are two bucketed ``groupby`` shuffles over a fixed,
-small number of buckets; inside each bucket everything is NumPy run-
-detection over sorted arrays — no per-band Python, no per-row Python.
+  Its only wide ops are these two bucketed ``groupby`` shuffles over a
+  fixed, small number of buckets.
+
+Either way a band run is whole inside one emit call, so both plans run
+the same emit kernel over the same runs and give the same pairs and the
+same band accounting.  Inside a call everything is NumPy run-detection
+over sorted arrays — no per-band Python, no per-row Python.
 
 Skew handling (north rule: "salted band keys to defuse skew"):
 
@@ -41,7 +56,7 @@ import ray.data
 from ..config import BlockingConfig, LinkageConfig
 from ..functions.embed import embed_strings
 from ..functions.hashing import U64, splitmix64
-from ..functions.minhash import band_keys, minhash_signature
+from ..functions.minhash import band_keys, empty_signature_mask, minhash_signature
 from ..functions.shingles import line_shingles
 
 
@@ -137,7 +152,8 @@ def expand_bands_batch(
 ) -> pa.Table:
     """features -> b band rows per record (the flat_map row expansion,
     analogue of DaMuELLinkProcessor's entity->links expansion,
-    reference ``loaders/damuel.py:74-116``).
+    reference ``loaders/damuel.py:74-116``) of the bucketed plan; the
+    band-major plan folds each task's bands in :func:`_band_range_pairs`.
 
     Shingle-less records (all-sentinel signatures) are dropped before
     banding: their signatures are identical across rows, so they would
@@ -145,15 +161,15 @@ def expand_bands_batch(
     despite true Jaccard 0.
 
     ``num_buckets`` (default ``cfg.num_buckets``) is the exchange key
-    granularity; callers pass the actual shuffle partition count so the
-    downstream ``map_groups`` makes ONE call per partition instead of
-    one per fine bucket (512 per-group calls each paying slice + table
-    construction + an accounting round trip measured as the emit
-    phase's dominant cost at 8 CPUs) — the emit kernel batches all band
-    runs in a group, so bucket granularity is purely a balance knob,
-    and per-run size is already bounded by ``stopband_limit``."""
-    from ..functions.minhash import empty_signature_mask
-
+    granularity: the downstream ``map_groups`` makes one emit call, and
+    one accounting round trip, per bucket.  :func:`candidate_pairs`
+    passes ``min(cfg.num_buckets, 8 * shuffle_partitions())``, so each
+    shuffle partition gets about 8 calls instead of 64 (512 per-group
+    calls, each paying slice + table construction + an accounting round
+    trip, were measured as the emit phase's dominant cost at 8 CPUs).
+    The emit kernel batches all band runs in a group, so bucket
+    granularity is purely a balance knob, and per-run size is already
+    bounded by ``stopband_limit``."""
     sig32 = binary_matrix(batch["sig"], np.uint32)
     nonempty = ~empty_signature_mask(sig32)
     if not nonempty.all():
@@ -368,16 +384,95 @@ def dedup_pairs(
             "bucket", pa.array((h % U64(n_buckets)).astype(np.int32))
         )
 
-    def uniq(group: pa.Table) -> pa.Table:
-        a = group["id_a"].to_numpy()
-        b = group["id_b"].to_numpy()
-        order = np.lexsort((b, a))
-        a, b = a[order], b[order]
-        keep = np.ones(len(a), dtype=bool)
-        keep[1:] = (np.diff(a) != 0) | (np.diff(b) != 0)
-        return pa.table({"id_a": pa.array(a[keep]), "id_b": pa.array(b[keep])})
-
     bucketed = pairs.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
     if coalesce:
         bucketed = bucketed.repartition(shuffle_partitions())
-    return bucketed.groupby("bucket").map_groups(uniq, batch_format="pyarrow")
+    return bucketed.groupby("bucket").map_groups(unique_pairs, batch_format="pyarrow")
+
+
+def unique_pairs(*parts: pa.Table) -> pa.Table:
+    """Pair tables -> their distinct (id_a, id_b), sorted by (id_a, id_b)."""
+    t = pa.concat_tables(parts)
+    a = t["id_a"].to_numpy()
+    b = t["id_b"].to_numpy()
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = (np.diff(a) != 0) | (np.diff(b) != 0)
+    return pa.table({"id_a": pa.array(a[keep]), "id_b": pa.array(b[keep])})
+
+
+def _band_range_pairs(
+    bands: tuple[int, int], cfg: BlockingConfig, n_ranges: int, pair_filter, *blocks: pa.Table
+) -> tuple:
+    """(worker task) every feature block -> the pairs of the bands
+    ``[lo, hi)``: (band counts, then ``n_ranges`` slices of the locally
+    unique pairs, cut at equal-width ``id_a`` ranges).
+
+    Every run of these bands is whole here, so the unchanged
+    :func:`_emit_pairs_for_bucket` makes the bucketed plan's stopband,
+    salt and cap decisions and counts.  Shingle-less records are dropped
+    as :func:`expand_bands_batch` drops them."""
+    lo, hi = bands
+    rids, hashes = [np.empty(0, np.int64)], [np.empty(0, U64)]
+    for t in blocks:
+        if not len(t):
+            continue
+        sig32 = binary_matrix(t["sig"], np.uint32)  # zero-copy view
+        keep = ~empty_signature_mask(sig32)
+        _, bh = band_keys(sig32, cfg.num_bands, lo, hi)
+        rids.append(np.repeat(t["record_id"].to_numpy()[keep], hi - lo))
+        hashes.append(bh.reshape(len(t), hi - lo)[keep].reshape(-1))
+    group = pa.table(
+        {"record_id": np.concatenate(rids), "band_hash": np.concatenate(hashes).view(np.int64)}
+    )
+    pairs, counts = _emit_pairs_for_bucket(group, cfg)
+    if pair_filter is not None:
+        pairs = pair_filter(pairs)
+    pairs = unique_pairs(pairs)
+    # record_id is a uniform 63-bit fingerprint (ingest.py), so
+    # equal-width id ranges are balanced without a quantile pass
+    bounds = [(1 << 63) * i // n_ranges for i in range(1, n_ranges)]
+    cuts = [0, *np.searchsorted(pairs["id_a"].to_numpy(), bounds).tolist(), len(pairs)]
+    return (counts, *[pairs.slice(s, e - s) for s, e in zip(cuts[:-1], cuts[1:])])
+
+
+def band_major_pairs(
+    features: "ray.data.Dataset",
+    cfg: BlockingConfig,
+    stats_sink=None,
+    pair_filter=None,
+) -> "ray.data.Dataset":
+    """features -> globally-unique candidate pairs (id_a < id_b) with no
+    Ray Data exchange: the plan for a feature table small enough to
+    broadcast (the scorer's ``broadcast_limit_rows``; Spark's broadcast
+    join and the reference's qid-remap table are the same idiom).
+
+    G = ``min(num_bands, shuffle_partitions())`` tasks each read every
+    materialized feature block from the object store and own a
+    contiguous band range (:func:`_band_range_pairs`); their pairs are
+    unique locally and cut into P = ``shuffle_partitions()`` disjoint
+    ``id_a`` ranges, so P :func:`unique_pairs` tasks, one per range, make
+    the pairs globally unique: duplicate pairs are never shuffled.  Pairs and band
+    accounting equal :func:`candidate_pairs`'s; ``stats_sink`` and
+    ``pair_filter`` mean the same as in :func:`bucket_pairs` (counts are
+    keyed by each task's first band)."""
+    from ..util import shuffle_partitions
+
+    n_tasks, n_ranges = min(cfg.num_bands, shuffle_partitions()), shuffle_partitions()
+    blocks = features.to_arrow_refs()
+    # whole-CPU tasks: they queue on the warm worker pool (scoring.py
+    # _collect_feature_shards)
+    emit = ray.remote(num_returns=n_ranges + 1)(_band_range_pairs)
+    unique = ray.remote(unique_pairs)
+    slices = []
+    for g in range(n_tasks):
+        lo, hi = cfg.num_bands * g // n_tasks, cfg.num_bands * (g + 1) // n_tasks
+        counts, *parts = emit.remote((lo, hi), cfg, n_ranges, pair_filter, *blocks)
+        if stats_sink is not None:
+            # this process hands the counts ref on, so no task waits on
+            # the sink; the sink runs one caller's calls in submission
+            # order, so a later totals call from here sees this entry
+            stats_sink.put.remote("blocking", lo, counts)
+        slices.append(parts)
+    return ray.data.from_arrow_refs([unique.remote(*[s[r] for s in slices]) for r in range(n_ranges)])

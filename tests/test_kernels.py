@@ -115,6 +115,21 @@ class TestMinHash:
         sig2 = minhash_signature(values, np.array([0, 5, 5, 10]), 64)
         assert (sig == sig2).all()
 
+    @pytest.mark.parametrize("num_bands,num_hashes,tasks", [(32, 128, 12), (20, 80, 12), (32, 128, 8)])
+    def test_band_range_equals_full_band_columns(self, num_bands, num_hashes, tasks):
+        """Band-range tasks of uneven width fold the same hashes as the
+        full fold, from uint32-truncated signatures as from uint64 ones."""
+        rng = np.random.RandomState(7)
+        sig32 = rng.randint(0, 2**32, (57, num_hashes), dtype=np.uint64).astype(np.uint32)
+        full_id, full_h = band_keys(sig32.astype(np.uint64), num_bands)
+        full_id = full_id.reshape(57, num_bands)
+        full_h = full_h.reshape(57, num_bands)
+        for g in range(tasks):
+            lo, hi = num_bands * g // tasks, num_bands * (g + 1) // tasks
+            bid, bh = band_keys(sig32, num_bands, lo, hi)
+            assert (bid.reshape(57, hi - lo) == full_id[:, lo:hi]).all()
+            assert (bh.reshape(57, hi - lo) == full_h[:, lo:hi]).all()
+
 
 class TestSimHash:
     def test_near_dup_has_smaller_hamming(self):

@@ -143,10 +143,10 @@ def test_partitioned_scoring_path_matches_broadcast(tiny_corpus):
     oracle-vs-optimized discipline of the reference's
     SimplifiedBruteForceSearcher (models/searchers/
     simplified_brute_force_searcher.py:1-20).  broadcast_limit_rows=0
-    forces every selector to the partitioned branch."""
+    forces every selector to the partitioned branch, and blocking from
+    band-major to bucketed; the run records both choices."""
     from dataclasses import replace
 
-    from mel_ray.config import ClusteringConfig, LinkageConfig, ScoringConfig
     from mel_ray.pipelines.linkage import run_linkage
 
     def collect(cfg):
@@ -159,15 +159,18 @@ def test_partitioned_scoring_path_matches_broadcast(tiny_corpus):
         clusters = {
             r["record_id"]: r["cluster_id"] for r in res.clusters.take_all()
         }
-        return pairs, clusters
+        return pairs, clusters, res.stats
 
     base = LinkageConfig()
     forced = LinkageConfig(
         scoring=replace(base.scoring, broadcast_limit_rows=0),
         clustering=replace(base.clustering, assign_broadcast_limit_rows=0),
     )
-    b_pairs, b_clusters = collect(base)
-    p_pairs, p_clusters = collect(forced)
+    b_pairs, b_clusters, b_stats = collect(base)
+    p_pairs, p_clusters, p_stats = collect(forced)
+    assert b_stats["plan"] == {"blocking": "band_major", "scoring": "broadcast"}
+    assert p_stats["plan"] == {"blocking": "bucketed", "scoring": "partitioned"}
+    assert b_stats["blocking_bands"] == p_stats["blocking_bands"]
     assert len(b_pairs) > 100
     assert list(b_pairs.columns) == list(p_pairs.columns)
     assert len(b_pairs) == len(p_pairs)
@@ -379,6 +382,69 @@ def _planted(tiny_corpus, n: int = 100):
         pa.array([f"vendor{i:03d}/copied.py" for i in range(n)]),
     )
     return pa.concat_tables([t, copies])
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize(
+    "limits",
+    [{}, {"salt_limit": 8, "stopband_limit": 80, "max_pairs_per_group": 20}],
+    ids=["default", "drops_and_caps"],
+)
+def test_band_major_pairs_equal_bucketed(tiny_corpus, tmp_path, limits):
+    """Band-major blocking gives the bucketed plan's pairs and band
+    accounting.  The corpus holds 100, 30 and 7 exact copies (runs over
+    the default salt_limit; under the small limits a dropped, a salted
+    and a star-capped run) and records without content, which neither
+    plan may pair; then the pair filter of a zero-row incremental delta."""
+    from dataclasses import replace
+
+    import pyarrow as pa
+    import ray
+
+    from mel_ray.stages import blocking as B
+    from mel_ray.stages import ingest as I
+    from mel_ray.state.accounting import new_stats_sink
+
+    t = _planted(tiny_corpus)
+    extra = []
+    for row, n, tag in [(1, 30, "b"), (2, 7, "c"), (3, 6, "empty")]:
+        copies = t.slice(row, 1).take(np.zeros(n, dtype=np.int64))
+        content = ["", "\n  \n", "", "\t", "", " "] if tag == "empty" else copies["content"]
+        copies = copies.set_column(copies.schema.get_field_index("content"), "content", pa.array(content))
+        paths = pa.array([f"{tag}{i:03d}/copied.py" for i in range(n)])
+        extra.append(copies.set_column(copies.schema.get_field_index("path"), "path", paths))
+    corpus = tmp_path / "planted"
+    corpus.mkdir()
+    pq.write_table(pa.concat_tables([t, *extra]), corpus / "part-0.parquet")
+
+    cfg = replace(LinkageConfig(), blocking=replace(LinkageConfig().blocking, **limits))
+    feats = B.featurize(I.ingest(I.read_corpus(str(corpus))), cfg).materialize()
+    f = feats.to_pandas()
+    empty_ids = set(f.record_id[f.path.str.startswith("empty")])
+    assert len(empty_ids) == 6
+
+    def both_plans(pair_filter=None):
+        got = []
+        for build in (B.band_major_pairs, B.candidate_pairs):
+            sink = new_stats_sink()
+            refs = build(feats, cfg.blocking, stats_sink=sink, pair_filter=pair_filter).to_arrow_refs()
+            tables = [t for t in ray.get(refs) if len(t)]
+            pairs = [p for t in tables for p in zip(t["id_a"].to_pylist(), t["id_b"].to_pylist())]
+            got.append((sorted(pairs), B.band_totals(sink)))
+            ray.get(sink.drop.remote())
+            assert len(set(pairs)) == len(pairs)
+            assert not empty_ids & {i for p in pairs for i in p}
+        assert got[0] == got[1]
+        return got[0]
+
+    pairs, bands = both_plans()
+    assert len(pairs) > 0 and all(a < b for a, b in pairs)
+    if limits:
+        assert all(bands[k] > 0 for k in B.BAND_COUNTS), bands
+    else:
+        assert bands["salted_bands"] >= cfg.blocking.num_bands
+    # a zero-row incremental delta: the same runs, and a filter that keeps no pair
+    assert both_plans(lambda t: t.slice(0, 0)) == ([], bands)
 
 
 @pytest.mark.usefixtures("ray_session")
