@@ -12,14 +12,17 @@
 One threshold picks the blocking and scoring plans: the feature row
 count against ``ScoringConfig.broadcast_limit_rows``.  At or under it,
 blocking is band-major (band-range tasks over the materialized feature
-blocks, then id-range unique tasks: no exchange) and the scorer reads a
-broadcast feature table (stateless tasks, no join).  Above it, blocking
+blocks, then id-range unique tasks: no exchange) and the scorer reads
+zero-copy views of those same feature blocks (stateless tasks, no
+join); without a checkpoint dir each id-range task scores the pairs it
+uniques, so candidates and scoring are one task graph.  Above it, blocking
 is bucketed (band groupby then pair-dedup groupby, two push-based sort
 exchanges) and scoring is the partitioned ``Dataset.join`` cascade with
 an actor-pool scorer.  ``res.stats["plan"]`` records the choice.
 
 Without a checkpoint dir the stages stream between materialized
-features, scored pairs and components (see :func:`_link`).
+features, scored pairs and components (see :func:`_link`); with one,
+every stage, candidate pairs included, is committed to Parquet.
 """
 
 from __future__ import annotations
@@ -150,19 +153,26 @@ def _link(
     :func:`run_linkage_incremental`.
 
     Blocking and scoring plans follow one threshold (module docstring):
-    with at most ``cfg.scoring.broadcast_limit_rows`` feature rows, the
-    band-major :func:`~mel_ray.stages.blocking.band_major_pairs` hands
-    id-range pair blocks straight to the broadcast scorer, with no
-    exchange; above it, pairs flow from the bucketed
+    with at most ``cfg.scoring.broadcast_limit_rows`` feature rows,
+    blocking is band-major (:func:`~mel_ray.stages.blocking.band_major_pairs`)
+    and the scorer reads views of the materialized feature blocks, with
+    no exchange; above it, pairs flow from the bucketed
     :func:`~mel_ray.stages.blocking.candidate_pairs` (band groupby, then
     dedup groupby) into the partitioned join cascade.  ``stats["plan"]``
     records which.
 
     Without a checkpoint dir the plan STREAMS: no pair-stage
-    materialization.  Each avoided barrier/AllToAll is fixed wall-clock
+    materialization.  Under the limit, candidate generation and scoring
+    are one Ray task graph: each band-major id-range task uniques its
+    pairs and scores them (``finish`` =
+    :func:`~mel_ray.stages.scoring.broadcast_scorer`), so the P scored
+    tables are the ``scored`` stage and the end of those tasks is its
+    only barrier.  Each avoided barrier/AllToAll is fixed wall-clock
     that does not shrink with cluster size (round-5 profile: ~12 s of
     exchange coordination in the pair stage at EVERY cpu count).  With
-    one, the pair stage is committed like every other stage.  Band
+    a checkpoint dir, the pair stage is committed like every other stage
+    (it is the resume unit) and the committed pairs are scored over the
+    same block views.  Band
     accounting goes to the session's stats sink either way; a committed
     pair stage keeps its totals in its manifest, so a restored run still
     reports them.  ``pair_filter`` goes to the blocking plan, and
@@ -182,23 +192,30 @@ def _link(
         "scoring": "broadcast" if broadcast else "partitioned",
     }
 
-    def build_pairs() -> "ray.data.Dataset":
+    def build_pairs(finish=None) -> "ray.data.Dataset":
         if broadcast:
-            return B.band_major_pairs(features, cfg.blocking, stats_sink=sink, pair_filter=pair_filter)
+            return B.band_major_pairs(
+                features, cfg.blocking, stats_sink=sink, pair_filter=pair_filter, finish=finish
+            )
         return B.candidate_pairs(
             features, cfg.blocking, stats_sink=sink, coalesce=coalesce, pair_filter=pair_filter
         )
 
-    if streaming:
-        pairs = build_pairs()
+    if streaming and broadcast:
+        # one task graph: each id-range task scores the pairs it uniques
+        scored = ckpt.through("scored", lambda: build_pairs(S.broadcast_scorer(features, cfg.scoring)))
     else:
-        pairs = ckpt.through("pairs", build_pairs, counts=lambda: B.band_totals(sink))
-    scored = ckpt.through(
-        "scored",
-        lambda: S.score_pairs_auto(
-            pairs, features, cfg.scoring, cfg.blocking, join_parts, fan_out=not streaming
-        ),
-    )
+        pairs = (
+            build_pairs()
+            if streaming
+            else ckpt.through("pairs", build_pairs, counts=lambda: B.band_totals(sink))
+        )
+        scored = ckpt.through(
+            "scored",
+            lambda: S.score_pairs_auto(
+                pairs, features, cfg.scoring, cfg.blocking, join_parts, fan_out=not streaming
+            ),
+        )
     # scored is materialized, so every emit task has run and its counts
     # are recorded (bucketed: the in-task ray.get; band-major: the sink
     # ran this process's puts before this totals call) — totals are final

@@ -15,10 +15,18 @@ then one of two plans, picked by the scorer's own threshold (feature
 rows <= ``ScoringConfig.broadcast_limit_rows``, pipelines/linkage.py
 ``_link``):
 
-* band-major (:func:`band_major_pairs`, under the limit): G tasks each
-  read every feature block and own a contiguous band range, emit the
-  pairs of their bands and split them by ``id_a`` range; P tasks unique
-  one id range each.  No Ray Data exchange at all.
+* band-major (:func:`band_major_pairs`, under the limit)::
+
+    feature blocks --G band-range tasks--> G x P id_a-range pair slices
+    P slices of one range --1 id-range task--> unique pairs [-> scored]
+
+  Each band-range task reads every feature block and owns a contiguous
+  band range; it emits the pairs of its bands and cuts them at the P
+  pair-count quantiles of ``id_a`` (:func:`id_range_bounds`).  Each
+  id-range task uniques its range and, in the streaming linkage plan,
+  scores it too (``finish``: the broadcast scorer over views of the
+  same feature blocks, stages/scoring.py).  No Ray Data exchange, and
+  the only barrier is the end of the P id-range tasks.
 * bucketed (:func:`candidate_pairs`, above it)::
 
     features --map_batches--> bands (record_id, band_hash, bucket)
@@ -47,6 +55,8 @@ Skew handling (north rule: "salted band keys to defuse skew"):
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pyarrow as pa
@@ -407,7 +417,7 @@ def _band_range_pairs(
 ) -> tuple:
     """(worker task) every feature block -> the pairs of the bands
     ``[lo, hi)``: (band counts, then ``n_ranges`` slices of the locally
-    unique pairs, cut at equal-width ``id_a`` ranges).
+    unique pairs, cut at :func:`id_range_bounds`).
 
     Every run of these bands is whole here, so the unchanged
     :func:`_emit_pairs_for_bucket` makes the bucketed plan's stopband,
@@ -430,11 +440,28 @@ def _band_range_pairs(
     if pair_filter is not None:
         pairs = pair_filter(pairs)
     pairs = unique_pairs(pairs)
-    # record_id is a uniform 63-bit fingerprint (ingest.py), so
-    # equal-width id ranges are balanced without a quantile pass
-    bounds = [(1 << 63) * i // n_ranges for i in range(1, n_ranges)]
+    bounds = id_range_bounds(n_ranges)
     cuts = [0, *np.searchsorted(pairs["id_a"].to_numpy(), bounds).tolist(), len(pairs)]
     return (counts, *[pairs.slice(s, e - s) for s, e in zip(cuts[:-1], cuts[1:])])
+
+
+def id_range_bounds(n_ranges: int) -> list[int]:
+    """The ``n_ranges - 1`` inner ``id_a`` cuts that give each range
+    about the same number of pairs, with no pass over the pairs.
+
+    record_id is a uniform 63-bit fingerprint (ingest.py), and ``id_a``
+    is the smaller of two of them: its density on ``[0, 2**63)`` falls
+    as 2(1 - x), so equal-width ranges hold very unequal pair counts
+    (the first of 8 about 15x the last).  The i-th quantile of that
+    distribution is ``1 - sqrt(1 - i/P)``."""
+    return [int((1 << 63) * (1 - math.sqrt(1 - i / n_ranges))) for i in range(1, n_ranges)]
+
+
+def _unique_range(finish, *parts: pa.Table) -> pa.Table:
+    """(worker task) one ``id_a`` range's pair slices -> its unique pairs,
+    passed through ``finish`` when one is given."""
+    pairs = unique_pairs(*parts)
+    return pairs if finish is None else finish(pairs)
 
 
 def band_major_pairs(
@@ -442,6 +469,7 @@ def band_major_pairs(
     cfg: BlockingConfig,
     stats_sink=None,
     pair_filter=None,
+    finish=None,
 ) -> "ray.data.Dataset":
     """features -> globally-unique candidate pairs (id_a < id_b) with no
     Ray Data exchange: the plan for a feature table small enough to
@@ -452,19 +480,23 @@ def band_major_pairs(
     materialized feature block from the object store and own a
     contiguous band range (:func:`_band_range_pairs`); their pairs are
     unique locally and cut into P = ``shuffle_partitions()`` disjoint
-    ``id_a`` ranges, so P :func:`unique_pairs` tasks, one per range, make
-    the pairs globally unique: duplicate pairs are never shuffled.  Pairs and band
-    accounting equal :func:`candidate_pairs`'s; ``stats_sink`` and
-    ``pair_filter`` mean the same as in :func:`bucket_pairs` (counts are
-    keyed by each task's first band)."""
+    ``id_a`` ranges of about equal pair counts, so P tasks, one per
+    range, make the pairs globally unique: duplicate pairs are never
+    shuffled.  Pairs and band accounting equal :func:`candidate_pairs`'s;
+    ``stats_sink`` and ``pair_filter`` mean the same as in
+    :func:`bucket_pairs` (counts are keyed by each task's first band).
+    ``finish`` (pa.Table -> pa.Table), when given, runs inside each
+    id-range task on its unique pairs, and the dataset holds its
+    outputs: the streaming linkage plan scores the pairs there."""
     from ..util import shuffle_partitions
 
     n_tasks, n_ranges = min(cfg.num_bands, shuffle_partitions()), shuffle_partitions()
     blocks = features.to_arrow_refs()
-    # whole-CPU tasks: they queue on the warm worker pool (scoring.py
-    # _collect_feature_shards)
+    # whole-CPU tasks: they queue on the warm worker pool (a fractional
+    # request makes the raylet start extra workers for them); a task
+    # blocked in ray.get gives its CPU back, so they cannot deadlock
     emit = ray.remote(num_returns=n_ranges + 1)(_band_range_pairs)
-    unique = ray.remote(unique_pairs)
+    unique = ray.remote(_unique_range)
     slices = []
     for g in range(n_tasks):
         lo, hi = cfg.num_bands * g // n_tasks, cfg.num_bands * (g + 1) // n_tasks
@@ -475,4 +507,6 @@ def band_major_pairs(
             # order, so a later totals call from here sees this entry
             stats_sink.put.remote("blocking", lo, counts)
         slices.append(parts)
-    return ray.data.from_arrow_refs([unique.remote(*[s[r] for s in slices]) for r in range(n_ranges)])
+    return ray.data.from_arrow_refs(
+        [unique.remote(finish, *[s[r] for s in slices]) for r in range(n_ranges)]
+    )

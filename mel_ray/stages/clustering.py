@@ -135,6 +135,15 @@ def local_union_find(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return nodes, nodes[parent]
 
 
+def _solve_small(*parts: pa.Table) -> pa.Table:
+    """(worker task) every edge block -> labels of the nodes they touch."""
+    parts = [t for t in parts if len(t)]  # skip schema-less empty blocks
+    u = np.concatenate([t["u"].to_numpy() for t in parts])
+    v = np.concatenate([t["v"].to_numpy() for t in parts])
+    nodes, labels = local_union_find(u, v)
+    return pa.table({"record_id": pa.array(nodes), "cluster_id": pa.array(labels)})
+
+
 def connected_components(
     edges: "ray.data.Dataset", cfg: ClusteringConfig
 ) -> "ray.data.Dataset":
@@ -143,13 +152,17 @@ def connected_components(
     Two physical strategies behind one semantic:
 
     * small edge sets (<= ``cfg.small_graph_limit``): one Ray task runs
-      the vectorized union-find — no per-round shuffles;
+      the vectorized union-find over the edge blocks — no shuffle;
     * large edge sets: alternating star contraction, one bucketed
       groupby per half-round, each round materialized (the edge set is
       orders of magnitude smaller than the corpus).  Convergence =
       unchanged (count, xor) multiset fingerprint; the xor aggregate is
       skipped whenever the (free, metadata-only) count already differs.
     """
+    # one execution of the (lazy) edge input: count() and the solve below
+    # would otherwise each run it, and an incremental run's label edges
+    # read the base cluster table
+    edges = edges.materialize()
     n_edges = edges.count()
     if n_edges == 0:
         return ray.data.from_items([]).map_batches(
@@ -159,14 +172,8 @@ def connected_components(
             batch_format="pyarrow",
         )
     if n_edges <= cfg.small_graph_limit:
-
-        def solve(batch: pa.Table) -> pa.Table:
-            nodes, labels = local_union_find(batch["u"].to_numpy(), batch["v"].to_numpy())
-            return pa.table({"record_id": pa.array(nodes), "cluster_id": pa.array(labels)})
-
-        return edges.repartition(1).map_batches(
-            solve, batch_size=None, batch_format="pyarrow"
-        )
+        # one whole-CPU task over the edge blocks: no repartition exchange
+        return ray.data.from_arrow_refs([ray.remote(_solve_small).remote(*edges.to_arrow_refs())])
 
     cur = edges
     prev: tuple[int, int] | None = None
@@ -240,8 +247,8 @@ def assign_clusters(
             return ids[order], cids[order]
 
         # a whole-CPU task on the warm pool; the assign tasks that wait
-        # on it give up their CPU while blocked (rule: scoring.py
-        # _collect_feature_shards)
+        # on it give up their CPU while blocked (rule: blocking.py
+        # band_major_pairs)
         ref = ray.remote(_assemble_labels).remote(
             *component_labels.to_arrow_refs()
         )

@@ -16,10 +16,15 @@ features only travel for plausible pairs:
 
 All joins are hash-shuffle ``Dataset.join`` on ``record_id`` with
 fractional-CPU aggregators (several join stages + an actor pool must
-coexist on one node without starving).
+coexist on one node without starving).  That is the partitioned plan,
+above ``ScoringConfig.broadcast_limit_rows`` feature rows; at or under
+it the same cascade runs without a join, over zero-copy views of the
+materialized feature blocks (the broadcast section below).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -30,10 +35,12 @@ import ray.data
 from ..config import BlockingConfig, ScoringConfig
 from ..functions.strsim import jaro_winkler, levenshtein_ratio
 
+PAIR_SCHEMA = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
+
 # Shuffle-join aggregator actors stay fractional so several join stages
 # plus an actor pool fit a small node (each Dataset.join spawns
 # num_partitions of them); helper TASKS take whole CPUs (see
-# _collect_feature_shards).
+# blocking.band_major_pairs).
 JOIN_AGG_ARGS = {"num_cpus": 0.25}
 
 
@@ -189,7 +196,18 @@ def score_pairs(
     """The full cascade: verify -> attach -> actor-pool scorer."""
     from ..util import auto_pool_size
 
-    verified = verify_candidates(pairs, features, scoring, num_partitions).materialize()
+    # Ray's hash-shuffle join cannot key an input without rows (an empty
+    # pair set leaves the bucketed dedup groupby as zero-column blocks,
+    # and even a typed empty block fails), so no pair, or no verified
+    # pair, short-circuits to a typed empty scored table
+    pairs = pairs.materialize()
+    verified = (
+        verify_candidates(pairs, features, scoring, num_partitions).materialize()
+        if pairs.count()
+        else pairs
+    )
+    if not verified.count():
+        return ray.data.from_arrow(_BlockViews([], scoring).score(PAIR_SCHEMA.empty_table()))
     enriched = attach_features(verified, features, num_partitions)
     return enriched.map_batches(
         PairScorer,
@@ -204,104 +222,53 @@ def score_pairs(
 
 # ---------------------------------------------------------------------------
 # Broadcast fast path: when the feature table fits comfortably in the object
-# store (<= ScoringConfig.broadcast_limit_rows), ship it ONCE via ray.put and
-# score pairs with zero shuffle — the map-side join the reference uses for its
-# qid-remap table (src/utils/qids_remap.py:35-55) and Spark's
-# autoBroadcastJoinThreshold strategy.  Above the threshold the partitioned
-# Dataset.join cascade above is used instead (the 10^12-row scale path).
+# store (<= ScoringConfig.broadcast_limit_rows), the scorer reads it where it
+# already is — the materialized feature blocks in plasma, through per-worker
+# views (_BlockViews) — and scores pairs with zero shuffle: the map-side join
+# the reference uses for its qid-remap table (src/utils/qids_remap.py:35-55)
+# and Spark's autoBroadcastJoinThreshold strategy.  The streaming linkage
+# plan runs it inside the band-major id-range tasks (broadcast_scorer as
+# blocking.band_major_pairs' ``finish``); a checkpointed run scores its
+# committed pairs with score_pairs_broadcast.  Above the threshold the
+# partitioned Dataset.join cascade above is used instead (the 10^12-row
+# scale path).
 # ---------------------------------------------------------------------------
 
 
-_FEATURE_COLS = ["record_id", "sig", "emb", "repo", "path"]
+def _matrix_chunks(col: pa.ChunkedArray, dtype) -> tuple[list[np.ndarray], np.ndarray]:
+    """Binary column -> zero-copy (N_k, W) views of its non-empty chunks
+    (blocking.binary_matrix, one per chunk, so nothing is combined) and
+    the row each view starts at."""
+    from .blocking import binary_matrix
+
+    mats = [binary_matrix(c, dtype) for c in col.chunks if len(c)]
+    return mats, np.cumsum([0] + [len(m) for m in mats])
 
 
-def _split_feature_block(bounds: list[int], t: pa.Table):
-    """(worker task) sort ONE feature block by record_id and cut it at
-    the shard range bounds — ``num_returns=len(bounds)-1`` presorted
-    slices.  One task per block, so splitting is block-parallel and
-    each feature byte is touched exactly once here (the earlier layout
-    had every shard task rescanning ALL blocks — S-fold read
-    amplification that showed up as ~12 s of hidden assembly CPU in the
-    round-5 8-cpu profile)."""
-    t = t.select(_FEATURE_COLS).combine_chunks()
-    rid = t["record_id"].to_numpy()
-    order = np.argsort(rid, kind="stable")
-    t = t.take(pa.array(order)).combine_chunks()
-    rid = rid[order]
-    cuts = np.searchsorted(rid, bounds[1:-1])
-    out, prev = [], 0
-    for c in list(cuts) + [len(rid)]:
-        out.append(t.slice(prev, c - prev))
-        prev = int(c)
-    return tuple(out)
+class _BlockViews:
+    """Zero-copy scorer state over the materialized feature blocks: per
+    pair batch, searchsorted id lookup + the same kernels as PairScorer.
 
+    sig/emb are per-chunk numpy VIEWS over the plasma-backed Arrow
+    buffers (every worker on a node shares ONE copy of the payload;
+    combining chunks would copy the table per worker, see
+    blocking.binary_matrix); an id is found through one argsort of the
+    concatenated record_ids and gathered with segmented fancy indexing.
+    Round-5 profile note: gathering through ``pc.take`` on a chunked
+    array instead cost the scorer a 35% UDF-over-CPU stall; numpy fancy
+    indexing on the mapped views removed it."""
 
-def _merge_shard(*slices: pa.Table) -> pa.Table:
-    """(worker task) same-range presorted slices -> one sorted shard
-    (concat + one argsort over ~1/S of the rows)."""
-    parts = [s for s in slices if len(s)]
-    if not parts:
-        return slices[0]  # empty, keeps the schema
-    t = pa.concat_tables(parts).combine_chunks()
-    order = pa.array(np.argsort(t["record_id"].to_numpy(), kind="stable"))
-    return t.take(order).combine_chunks()
-
-
-def _collect_feature_shards(features: "ray.data.Dataset") -> list:
-    """Broadcast-table shard refs WITHOUT driver materialization: the
-    feature blocks flow from the object store through block-parallel
-    split tasks into S range-merge TASKS whose return values are the
-    broadcast objects — the driver only ever holds refs (the qid-remap
-    table pattern at honest scale).  record_id is a uniform 63-bit
-    fingerprint (ingest.py), so equal-width ranges are balanced without
-    a quantile pass."""
-    from ..util import cluster_cpus
-
-    refs = features.to_arrow_refs()
-    n_shards = max(2, min(16, cluster_cpus() // 2))
-    span = 1 << 63
-    bounds = [span * i // n_shards for i in range(n_shards + 1)]
-    # whole-CPU tasks: they queue behind Ray Data tasks on the warm
-    # worker pool (a fractional request makes the raylet start extra
-    # workers for them).  The score tasks that ray.get these shards give
-    # up their CPU while blocked, so this cannot deadlock; only actor
-    # pools whose constructors wait on an object ref need fractional
-    # helpers (see JOIN_AGG_ARGS)
-    split = ray.remote(num_returns=n_shards)(_split_feature_block)
-    merge = ray.remote(_merge_shard)
-    slice_refs = [split.remote(bounds, r) for r in refs]
-    return [merge.remote(*[sl[s] for sl in slice_refs]) for s in range(n_shards)]
-
-
-class _BroadcastShardViews:
-    """Zero-copy scorer state over plasma-resident shard tables: per pair
-    batch, searchsorted id lookup + the same kernels as PairScorer.
-
-    The table arrives as range-sharded sorted single-chunk blocks (the
-    merge tasks ``combine_chunks``); sig/emb are kept as per-shard numpy
-    VIEWS over the plasma-backed Arrow buffers (zero-copy — every worker
-    on a node shares ONE copy of the payload) and gathered per batch
-    with segmented fancy indexing.  Round-5 profile note: gathering
-    through ``pc.take`` on a chunked array instead cost the scorer a
-    35% UDF-over-CPU stall; numpy fancy indexing on the mapped views
-    removed it."""
-
-    def __init__(self, shards: list, scoring: ScoringConfig):
-        from .blocking import binary_matrix
-
+    def __init__(self, blocks: list, scoring: ScoringConfig):
         from ..state.model_ckpt import scorer_weights
 
-        if shards:
-            # shards are consecutive sorted record_id ranges: their
-            # concatenation is globally sorted
-            self.ids = np.concatenate([t["record_id"].to_numpy() for t in shards])
-            self.bounds = np.cumsum([0] + [len(t) for t in shards])
-            # binary_matrix handles chunk normalization itself; its
-            # single-chunk fast path keeps these true VIEWS over the
-            # plasma buffers (an explicit combine_chunks() here would
-            # copy 0.7 GB per worker — see binary_matrix's docstring)
-            self.sigs = [binary_matrix(t["sig"], np.uint32) for t in shards]
-            self.embs = [binary_matrix(t["emb"], np.float16) for t in shards]
+        blocks = [t for t in blocks if len(t)]
+        if blocks:
+            col = lambda c: pa.chunked_array([ch for t in blocks for ch in t[c].chunks])  # noqa: E731
+            ids = col("record_id").to_numpy()
+            self.order = np.argsort(ids, kind="stable")
+            self.ids = ids[self.order]
+            self.sigs = _matrix_chunks(col("sig"), np.uint32)
+            self.embs = _matrix_chunks(col("emb"), np.float16)
             # FLAT single-chunk string columns: pc.take on a ChunkedArray
             # pays a fixed ~30 ms per CALL in pyarrow 16 (regardless of
             # index count — measured 36 ms vs 0.25 ms flat for a 3.6k-row
@@ -309,28 +276,33 @@ class _BroadcastShardViews:
             # which made chunked takes ~47% of the whole kernel at sf0.3.
             # The concat is one memcpy (~40 ms / 1.8M strings), paid once
             # per worker via _VIEWS_CACHE.
-            flat = lambda c: pa.concat_arrays(  # noqa: E731
-                [ch for t in shards for ch in t[c].chunks]
-            )
-            self.repo = flat("repo")
-            self.path = flat("path")
+            self.repo = col("repo").combine_chunks()
+            self.path = col("path").combine_chunks()
         else:
-            self.ids = np.empty(0, dtype=np.int64)
-            self.bounds = np.zeros(1, dtype=np.int64)
-            self.sigs = [np.empty((0, 1), dtype=np.uint32)]
-            self.embs = [np.empty((0, 1), dtype=np.float16)]
+            self.order = self.ids = np.empty(0, dtype=np.int64)
+            self.sigs = [np.empty((0, 1), dtype=np.uint32)], np.zeros(1, dtype=np.int64)
+            self.embs = [np.empty((0, 1), dtype=np.float16)], np.zeros(1, dtype=np.int64)
             self.repo = self.path = pa.array([], pa.string())
         self.cfg = scoring
-        self.w = scorer_weights(scoring)  # model state, loaded once per actor
+        self.w = scorer_weights(scoring)  # model state, loaded once per worker
 
-    def _gather(self, mats: list[np.ndarray], idx: np.ndarray) -> np.ndarray:
-        """Segmented gather across the shard views: one fancy-index per
-        touched shard (<= 16), output rows in input order."""
-        out = np.empty((len(idx), mats[0].shape[1]), dtype=mats[0].dtype)
-        shard = np.searchsorted(self.bounds[1:], idx, side="right")
-        for s in np.unique(shard):
-            m = shard == s
-            out[m] = mats[s][idx[m] - self.bounds[s]]
+    def _rows(self, ids: np.ndarray) -> np.ndarray:
+        """record ids -> their rows in the concatenated blocks."""
+        return self.order[np.searchsorted(self.ids, ids)]
+
+    @staticmethod
+    def _gather(views: tuple[list[np.ndarray], np.ndarray], rows: np.ndarray) -> np.ndarray:
+        """Segmented gather across the chunk views: rows grouped by chunk
+        with one stable argsort, then one fancy-index per touched chunk;
+        output rows in input order."""
+        mats, bounds = views
+        out = np.empty((len(rows), mats[0].shape[1]), dtype=mats[0].dtype)
+        chunk = np.searchsorted(bounds[1:], rows, side="right")
+        by_chunk = np.argsort(chunk, kind="stable")
+        cuts = np.searchsorted(chunk[by_chunk], np.arange(len(mats) + 1))
+        for k in np.flatnonzero(np.diff(cuts)):
+            sel = by_chunk[cuts[k] : cuts[k + 1]]
+            out[sel] = mats[k][rows[sel] - bounds[k]]
         return out
 
     def score(self, batch: pa.Table) -> pa.Table:
@@ -338,20 +310,19 @@ class _BroadcastShardViews:
 
         a = batch["id_a"].to_numpy()
         b = batch["id_b"].to_numpy()
-        ia = np.searchsorted(self.ids, a)
-        ib = np.searchsorted(self.ids, b)
-        est_j = estimate_jaccard(self._gather(self.sigs, ia), self._gather(self.sigs, ib))
+        ra, rb = self._rows(a), self._rows(b)
+        est_j = estimate_jaccard(self._gather(self.sigs, ra), self._gather(self.sigs, rb))
         keep = est_j >= self.cfg.jaccard_accept
-        ia, ib = ia[keep], ib[keep]
-        take_a, take_b = pa.array(ia), pa.array(ib)
+        ra, rb = ra[keep], rb[keep]
+        take_a, take_b = pa.array(ra), pa.array(rb)
         return score_kernel(
             self.cfg,
             self.w,
             pa.array(a[keep]),
             pa.array(b[keep]),
             est_j[keep],
-            self._gather(self.embs, ia),
-            self._gather(self.embs, ib),
+            self._gather(self.embs, ra),
+            self._gather(self.embs, rb),
             pc.take(self.path, take_a),
             pc.take(self.path, take_b),
             pc.take(self.repo, take_a),
@@ -361,21 +332,41 @@ class _BroadcastShardViews:
 
 # worker-process-local scorer-state cache (single entry: replacing on a
 # new broadcast epoch releases the previous run's plasma pins).  Keyed by
-# the shard refs + scoring config, so every TASK of one stage reuses the
-# views its worker already built — state rebuild from plasma is zero-copy
-# (~10 ms), which is what makes a stateless-TASK scorer viable at all.
-_VIEWS_CACHE: dict[tuple, _BroadcastShardViews] = {}
+# the feature block refs + scoring config, so every TASK of one stage
+# reuses the views its worker already built — state rebuild from plasma
+# is zero-copy plus one argsort of the ids, which is what makes a
+# stateless-TASK scorer viable at all.
+_VIEWS_CACHE: dict[tuple, _BlockViews] = {}
 
 
-def _broadcast_views(shard_refs, scoring: ScoringConfig) -> _BroadcastShardViews:
-    key = (tuple(r.hex() for r in shard_refs), repr(scoring))
+def _block_views(block_refs: tuple, scoring: ScoringConfig) -> _BlockViews:
+    key = (tuple(r.hex() for r in block_refs), repr(scoring))
     views = _VIEWS_CACHE.get(key)
     if views is None:
-        shards = [t for t in ray.get(list(shard_refs)) if len(t)]
-        views = _BroadcastShardViews(shards, scoring)
+        views = _BlockViews(ray.get(list(block_refs)), scoring)
         _VIEWS_CACHE.clear()
         _VIEWS_CACHE[key] = views
     return views
+
+
+def _score_over_views(block_refs: tuple, scoring: ScoringConfig, pairs: pa.Table) -> pa.Table:
+    """(worker) pairs -> scored pairs over the feature block views, in
+    slices of ``4 * batch_size`` pairs, which bound the gathered
+    sig/emb rows whatever the size of ``pairs``."""
+    views = _block_views(block_refs, scoring)
+    step = scoring.batch_size * 4
+    if len(pairs) <= step:
+        return views.score(pairs)
+    return pa.concat_tables(
+        [views.score(pairs.slice(s, step)) for s in range(0, len(pairs), step)]
+    )
+
+
+def broadcast_scorer(features: "ray.data.Dataset", scoring: ScoringConfig):
+    """pa.Table of pairs -> scored pairs, over views of ``features``'
+    materialized blocks: the ``finish`` of blocking.band_major_pairs, and
+    the batch fn of :func:`score_pairs_broadcast`."""
+    return functools.partial(_score_over_views, tuple(features.to_arrow_refs()), scoring)
 
 
 def score_pairs_broadcast(
@@ -384,37 +375,26 @@ def score_pairs_broadcast(
     scoring: ScoringConfig,
     fan_out: bool = True,
 ) -> "ray.data.Dataset":
+    """pairs -> scored pairs, one task per pair block, over views of the
+    materialized ``features`` (:func:`broadcast_scorer`).
+
+    STATELESS TASKS, not an actor pool.  Round-5 profile (sf0.1): the
+    actor-pool form spent 10-16 s of WALL at every cpu count on fresh
+    actor processes and per-actor state builds; tasks run on the
+    prestarted, already-warm Ray workers and rebuild the scorer state at
+    most ONCE per worker process (_VIEWS_CACHE).  One task per block:
+    bundling blocks up to a batch size left a stage of a few large
+    tasks on 2-3 of 4 cores.  ``fan_out`` repartitions the pairs to
+    ~3x cluster_cpus blocks first (an AllToAll barrier), for pair
+    blocks read back from a committed stage."""
     from ..util import cluster_cpus
 
-    shard_refs = _collect_feature_shards(features)
-    # STATELESS TASKS, not an actor pool.  Round-5 profile (sf0.1): the
-    # scorer's real compute is ~17 CPU-seconds, but the actor-pool form
-    # spent 10-16 s of WALL at every cpu count — fresh actor processes
-    # (full interpreter + import chain per actor, per stage) plus
-    # per-actor state builds dominated, and the pool's reservations
-    # needed deadlock-avoidance tuning (0.5-cpu actors, autoscaling
-    # floor).  Tasks run on the prestarted, already-warm Ray workers,
-    # schedule at whatever parallelism the cluster has free, and rebuild
-    # the scorer state at most ONCE per worker process via the
-    # _VIEWS_CACHE (zero-copy views over the plasma shards, ~10 ms).
-    # measured stage wall at sf0.1: 8 cpu 10-16 s (pool) -> ~3 s (tasks).
-    # ``fan_out`` (checkpointed path): the pairs arrive as ~num_buckets
-    # SKEWED blocks, so a straggler block sets the stage tail — fan out
-    # to ~3x cluster_cpus tasks (measured: 894ms-3.2s per block before,
-    # ~1 s stage tail saved).  The streaming path skips that repartition
-    # (an AllToAll BARRIER): it already streams HASH-BALANCED pair
-    # blocks straight from the dedup groupby into the first score tasks
-    # while later buckets are still sorting.
     if fan_out:
         pairs = pairs.repartition(max(2, cluster_cpus()) * 3)
-
-    def _score(batch: pa.Table) -> pa.Table:
-        return _broadcast_views(shard_refs, scoring).score(batch)
-
     return pairs.map_batches(
-        _score,
+        broadcast_scorer(features, scoring),
         batch_format="pyarrow",
-        batch_size=scoring.batch_size * 4,
+        batch_size=None,
         zero_copy_batch=True,
         **_gpu_args(scoring),
     )

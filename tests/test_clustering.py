@@ -75,3 +75,26 @@ class TestConnectedComponents:
         got = _run_cc(edges, distributed=True)
         for node in range(1, 64):
             assert got[node] == 0
+
+    def test_small_graph_runs_edge_input_once(self, tmp_path):
+        """The one-task path executes its lazy edge input once: counting
+        the edges and solving must not each run it (an incremental run's
+        label edges read the base cluster table)."""
+        import uuid
+
+        import ray.data
+
+        from mel_ray.stages.clustering import connected_components
+
+        def mark(batch):
+            (tmp_path / uuid.uuid4().hex).touch()
+            return batch
+
+        edge_list = [(1, 2), (2, 3), (10, 11)]
+        edges = ray.data.from_items(
+            [{"u": u, "v": v} for u, v in edge_list], override_num_blocks=1
+        ).map_batches(mark, batch_format="pyarrow")
+        comp = connected_components(edges, ClusteringConfig(small_graph_limit=5_000_000))
+        got = {row["record_id"]: row["cluster_id"] for row in comp.take_all()}
+        assert got == _oracle(edge_list)
+        assert len(list(tmp_path.iterdir())) == 1

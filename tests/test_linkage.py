@@ -135,49 +135,98 @@ def test_fs_weights_matches_naive():
     assert got.loc["est_jaccard", "m"] > got.loc["est_jaccard", "u"]
 
 
+def _scored_and_clusters(res):
+    """A result's scored pairs (all columns, sorted) and cluster table."""
+    pairs = res.scored_pairs.to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True)
+    clusters = {r["record_id"]: r["cluster_id"] for r in res.clusters.take_all()}
+    return pairs, clusters
+
+
+def _assert_same_scored(want, got):
+    assert list(want.columns) == list(got.columns)
+    assert len(want.columns) == 9
+    assert len(want) == len(got)
+    for col in want.columns:
+        wv, gv = want[col].to_numpy(), got[col].to_numpy()
+        assert (wv == gv).all(), f"column {col} diverges between plans"
+
+
 @pytest.mark.usefixtures("ray_session")
-def test_partitioned_scoring_path_matches_broadcast(tiny_corpus):
+def test_partitioned_scoring_path_matches_broadcast(tiny_corpus, tmp_path):
     """The declared 100-TB path (verify -> attach -> PairScorer cascade,
     partitioned Dataset.joins; plus the partitioned left-outer cluster
     assign) must produce EXACTLY the broadcast fast path's results — the
     oracle-vs-optimized discipline of the reference's
     SimplifiedBruteForceSearcher (models/searchers/
-    simplified_brute_force_searcher.py:1-20).  broadcast_limit_rows=0
-    forces every selector to the partitioned branch, and blocking from
-    band-major to bucketed; the run records both choices."""
+    simplified_brute_force_searcher.py:1-20).  Three plans: streaming
+    (band-major id-range tasks score their own pairs), checkpointed
+    (committed pair stage, scored over the same feature block views) and
+    partitioned: broadcast_limit_rows=0 forces every selector to the
+    partitioned branch, and blocking from band-major to bucketed; each
+    run records its choices.  Then the same for an incremental delta,
+    whose pairs pass the delta-touch filter."""
     from dataclasses import replace
+    from pathlib import Path
 
-    from mel_ray.pipelines.linkage import run_linkage
-
-    def collect(cfg):
-        res = run_linkage(str(tiny_corpus / "files"), cfg)
-        pairs = (
-            res.scored_pairs.to_pandas()
-            .sort_values(["id_a", "id_b"])
-            .reset_index(drop=True)
-        )
-        clusters = {
-            r["record_id"]: r["cluster_id"] for r in res.clusters.take_all()
-        }
-        return pairs, clusters, res.stats
+    from mel_ray.pipelines.linkage import run_linkage, run_linkage_incremental
 
     base = LinkageConfig()
     forced = LinkageConfig(
         scoring=replace(base.scoring, broadcast_limit_rows=0),
         clustering=replace(base.clustering, assign_broadcast_limit_rows=0),
     )
-    b_pairs, b_clusters, b_stats = collect(base)
-    p_pairs, p_clusters, p_stats = collect(forced)
-    assert b_stats["plan"] == {"blocking": "band_major", "scoring": "broadcast"}
-    assert p_stats["plan"] == {"blocking": "bucketed", "scoring": "partitioned"}
-    assert b_stats["blocking_bands"] == p_stats["blocking_bands"]
-    assert len(b_pairs) > 100
-    assert list(b_pairs.columns) == list(p_pairs.columns)
-    assert len(b_pairs) == len(p_pairs)
-    for col in b_pairs.columns:
-        bv, pv = b_pairs[col].to_numpy(), p_pairs[col].to_numpy()
-        assert (bv == pv).all(), f"column {col} diverges between scoring paths"
-    assert b_clusters == p_clusters
+    checkpointed = LinkageConfig(checkpoint_dir=str(tmp_path / "ck"))
+    runs = {
+        name: run_linkage(str(tiny_corpus / "files"), cfg)
+        for name, cfg in [("streaming", base), ("checkpointed", checkpointed), ("partitioned", forced)]
+    }
+    broadcast_plan = {"blocking": "band_major", "scoring": "broadcast"}
+    assert runs["streaming"].stats["plan"] == runs["checkpointed"].stats["plan"] == broadcast_plan
+    assert runs["partitioned"].stats["plan"] == {"blocking": "bucketed", "scoring": "partitioned"}
+    assert "pairs" in runs["checkpointed"].stats and "pairs" not in runs["streaming"].stats
+    want_pairs, want_clusters = _scored_and_clusters(runs["streaming"])
+    assert len(want_pairs) > 100
+    for name in ("checkpointed", "partitioned"):
+        assert runs[name].stats["blocking_bands"] == runs["streaming"].stats["blocking_bands"]
+        pairs, clusters = _scored_and_clusters(runs[name])
+        _assert_same_scored(want_pairs, pairs)
+        assert clusters == want_clusters, name
+
+    files = sorted(str(f) for f in (Path(tiny_corpus) / "files").rglob("*.parquet"))
+    inc = {}
+    for name, cfg in [("streaming", base), ("partitioned", forced)]:
+        res = run_linkage_incremental(run_linkage(files[:-1], cfg), files[-1:], cfg)
+        assert res.stats["plan"]["blocking"] == ("band_major" if cfg is base else "bucketed")
+        inc[name] = _scored_and_clusters(res)
+    assert len(inc["streaming"][0]) > 0
+    _assert_same_scored(inc["streaming"][0], inc["partitioned"][0])
+    assert inc["streaming"][1] == inc["partitioned"][1]
+    assert set(inc["streaming"][1]) == set(want_clusters)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_partitioned_plan_links_empty_delta(tiny_corpus, tmp_path):
+    """The partitioned plan with no candidate pair at all (a zero-row
+    delta): the joins are skipped and the base clusters come back."""
+    from dataclasses import replace
+    from pathlib import Path
+
+    from mel_ray.pipelines.linkage import run_linkage, run_linkage_incremental
+
+    files = sorted(str(f) for f in (Path(tiny_corpus) / "files").rglob("*.parquet"))
+    empty = tmp_path / "empty.parquet"
+    pq.write_table(pq.read_table(files[-1]).slice(0, 0), empty)
+    cfg = LinkageConfig(scoring=replace(LinkageConfig().scoring, broadcast_limit_rows=0))
+
+    base = run_linkage(files[:-1], cfg)
+    inc = run_linkage_incremental(base, [str(empty)], cfg)
+    assert inc.stats["plan"]["scoring"] == "partitioned"
+    assert inc.scored_pairs.count() == 0
+    assert inc.scored_pairs.schema().names == base.scored_pairs.schema().names
+    cols = ["record_id", "cluster_id"]
+    want = base.clusters.to_pandas()[cols].sort_values("record_id").reset_index(drop=True)
+    got = inc.clusters.to_pandas()[cols].sort_values("record_id").reset_index(drop=True)
+    assert len(want) > 0 and got.equals(want)
 
 
 @pytest.mark.usefixtures("ray_session")
