@@ -66,11 +66,6 @@ def embed_strings(
     return mat / norms
 
 
-def cosine_pairs(emb_a: np.ndarray, emb_b: np.ndarray) -> np.ndarray:
-    """Row-wise cosine of two aligned (P, dim) unit matrices."""
-    return np.einsum("ij,ij->i", emb_a, emb_b).astype(np.float32)
-
-
 def topk_cosine(
     queries: np.ndarray, index: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:

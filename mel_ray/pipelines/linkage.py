@@ -1,13 +1,17 @@
 """The flagship end-to-end record-linkage pipeline (SURVEY.md §7.0).
 
-    read_parquet(repo, path, commit, lang, content)
-      -> ingest      (sha256, record_id, repo canonicalization)  [stateless tasks]
-      -> featurize   (minhash sig, hashed-ngram embedding)       [stateless tasks]
+    parquet(repo, path, commit, lang, content)
+      -> ingest      (sha256, record_id, repo canonicalization)  [P plain tasks,
+      -> featurize   (minhash sig, hashed-ngram embedding)        read included]
       -> blocking    (band keys -> band runs -> unique pairs)    [see below]
       -> scoring     (est-jaccard, cosine, JW/Lev, accept bit)   [see below]
       -> clustering  (connected components)                      [1 task or k x groupby]
       -> assign      (records ⋈ component labels)                [broadcast or join]
       -> clusters.parquet / metrics                              [write]
+
+Read, ingest and featurize are P = ``shuffle_partitions()`` plain tasks
+over input pieces (:func:`featurize_input`): each reads about 1/P of the
+rows and returns one feature block with one chunk per column.
 
 One threshold picks the blocking and scoring plans: the feature row
 count against ``ScoringConfig.broadcast_limit_rows``.  At or under it,
@@ -49,20 +53,46 @@ def _input_shard_groups(corpus_path: str, max_partitions: int = 16) -> list[list
     """Group the input's parquet shards into <= max_partitions resume
     units (one unit = one committed partition; grouping amortizes
     per-pipeline scheduling overhead when the input has many shards)."""
-    from pathlib import Path
-
-    if isinstance(corpus_path, (list, tuple)):
-        shards = sorted(str(f) for f in corpus_path)
-    else:
-        p = Path(corpus_path)
-        if not p.is_dir():
-            return None
-        shards = sorted(str(f) for f in p.rglob("*.parquet"))
+    shards = sorted(I.input_files(corpus_path))
     if len(shards) < 2:
         return None
     n = min(max_partitions, len(shards))
     per = (len(shards) + n - 1) // n
     return [shards[i : i + per] for i in range(0, len(shards), per)]
+
+
+def _featurize_share(
+    pieces: list, schema: "pa.Schema | None", cfg: LinkageConfig, renames: dict[str, str] | None
+) -> pa.Table:
+    """(worker task) one input share -> its feature block: read, ingest
+    and featurize, with one chunk per column."""
+    records = I.ingest_batch(I.read_pieces(pieces, schema, I.CORPUS_COLUMNS), renames)
+    return B.featurize_batch(records, cfg.blocking, cfg.scoring.embed_dim, cfg.scoring.embed_kgram)
+
+
+def featurize_input(
+    corpus_path, cfg: LinkageConfig, renames: dict[str, str] | None = None
+) -> "ray.data.Dataset":
+    """Parquet input -> the materialized feature table, in P =
+    ``shuffle_partitions()`` blocks: one plain task per share of
+    :func:`~mel_ray.stages.ingest.split_input` reads, ingests and
+    featurizes its rows and returns one block with one chunk per column.
+
+    Plain whole-CPU tasks on the warm worker pool, not a Ray Data read
+    and map: Ray Data's backpressure budgets each map task at
+    ``target_max_block_size`` until the first one reports its real
+    output, so under a small object store it ran the first task alone
+    and then left cores idle between waves, and a read split into more
+    blocks than files never fuses with the map.  The input is read with
+    the schema ``read_parquet_clean`` sniffs, so no block carries pandas
+    metadata and every column has one type."""
+    from ..util import shuffle_partitions, sniff_clean_schema
+
+    schema = sniff_clean_schema(corpus_path, I.CORPUS_COLUMNS)
+    task = ray.remote(_featurize_share)
+    return ray.data.from_arrow_refs(
+        [task.remote(p, schema, cfg, renames) for p in I.split_input(corpus_path, shuffle_partitions())]
+    )
 
 
 @dataclass
@@ -95,8 +125,6 @@ def run_linkage(
     renames: dict[str, str] | None = None,
 ) -> LinkageResult:
     cfg = cfg or LinkageConfig()
-    from ..util import shuffle_partitions
-
     # Push-based (pipelined, merge-factor) sort shuffle for the
     # bucketed plan's band/bucket exchanges and for clustering's
     # groupbys: the stage profile (BENCH/BASELINE.md,
@@ -114,30 +142,20 @@ def run_linkage(
         meta={"feature_token": feature_token(cfg)},
     )
 
-    # no checkpoint dir -> STREAMING plan (see _link); the read is sized
-    # to shuffle-ready blocks so no coalescing repartition is needed.
-    streaming = cfg.checkpoint_dir is None
-    records = I.ingest(
-        I.read_corpus(
-            corpus_path,
-            override_num_blocks=shuffle_partitions() if streaming else None,
-        ),
-        renames=renames,
-    )
-
     shard_groups = _input_shard_groups(corpus_path) if cfg.checkpoint_dir else None
     if shard_groups and len(shard_groups) > 1:
         # per-partition resume: each input-shard group is an independently
         # committed partition (record ids are content fingerprints, so a
         # partition-wise rebuild is byte-equivalent to the fused stage)
         features = ckpt.through_partitioned(
-            "features",
-            shard_groups,
-            lambda files: B.featurize(I.ingest(I.read_corpus(files), renames=renames), cfg),
+            "features", shard_groups, lambda files: featurize_input(files, cfg, renames)
         )
     else:
-        features = ckpt.through("features", lambda: B.featurize(records, cfg))
-    return _link(ckpt, features, cfg, coalesce=not streaming)
+        features = ckpt.through("features", lambda: featurize_input(corpus_path, cfg, renames))
+    # streaming features come in shuffle_partitions() blocks, so the
+    # bucketed plan needs no coalescing repartition; features read back
+    # from a committed stage need not
+    return _link(ckpt, features, cfg, coalesce=cfg.checkpoint_dir is not None)
 
 
 def _link(
@@ -150,7 +168,9 @@ def _link(
 ) -> LinkageResult:
     """features -> candidate pairs -> scored pairs -> components ->
     clusters: the one plan behind :func:`run_linkage` and
-    :func:`run_linkage_incremental`.
+    :func:`run_linkage_incremental`.  ``features`` is materialized: the
+    P blocks of :func:`featurize_input` (the plain tasks over input
+    pieces), or a committed features stage read back.
 
     Blocking and scoring plans follow one threshold (module docstring):
     with at most ``cfg.scoring.broadcast_limit_rows`` feature rows,
@@ -330,9 +350,7 @@ def run_linkage_incremental(
         )
     ray.data.DataContext.get_current().shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
 
-    new_features = B.featurize(
-        I.ingest(I.read_corpus(new_corpus_path), renames=renames), cfg
-    ).materialize()
+    new_features = featurize_input(new_corpus_path, cfg, renames)
     new_rows = new_features.count()
     if new_rows:
         all_features = base.features.union(new_features)
@@ -349,8 +367,8 @@ def run_linkage_incremental(
 
             return t.filter(pa.array(isin(t["id_a"].to_numpy()) | isin(t["id_b"].to_numpy())))
     else:
-        # a zero-row delta materializes as schema-less blocks: union none
-        # of them into the base features, and no pair touches it
+        # a zero-row delta: nothing to union into the base features, and
+        # no pair touches it
         all_features, touch = base.features, lambda t: t.slice(0, 0)
 
     # restored base features are not sized to shuffle_partitions(), so
@@ -383,10 +401,6 @@ def cluster_representatives(
             batch_format="pyarrow",
         )
     )
-
-
-def cluster_sizes(clusters: "ray.data.Dataset") -> "ray.data.Dataset":
-    return clusters.groupby("cluster_id").count()
 
 
 def load_result_from_checkpoint(checkpoint_dir: str) -> LinkageResult:

@@ -9,11 +9,14 @@ architectural pivot).
 
 Dataflow::
 
-    records --map_batches--> features (record_id, sig, emb, path, repo)
+    input share --1 plain task: read, ingest, featurize_batch--> 1 feature block
+        (record_id, repo, path, sha256, sig, emb; one chunk per column)
 
-then one of two plans, picked by the scorer's own threshold (feature
-rows <= ``ScoringConfig.broadcast_limit_rows``, pipelines/linkage.py
-``_link``):
+P = ``shuffle_partitions()`` such tasks build the feature table
+(pipelines/linkage.py ``featurize_input``; :func:`featurize` runs the
+same kernel as a Ray Data map), then one of two plans, picked by the
+scorer's own threshold (feature rows <=
+``ScoringConfig.broadcast_limit_rows``, pipelines/linkage.py ``_link``):
 
 * band-major (:func:`band_major_pairs`, under the limit)::
 
@@ -71,7 +74,12 @@ from ..functions.shingles import line_shingles
 
 
 def featurize_batch(batch: pa.Table, cfg: BlockingConfig, embed_dim: int, embed_k: int) -> pa.Table:
-    """records -> per-record blocking/scoring features (one row per row)."""
+    """records -> per-record blocking/scoring features (one row per row).
+
+    The kernels run over 128-row slices of the batch and write into one
+    ``(rows, num_hashes)`` and one ``(rows, embed_dim)`` matrix, so a
+    batch of any size gives one contiguous ``sig`` and ``emb`` column,
+    byte-equal to featurizing its slices one at a time."""
     content = batch["content"]
     if isinstance(content, pa.ChunkedArray):
         content = content.combine_chunks()
@@ -80,9 +88,6 @@ def featurize_batch(batch: pa.Table, cfg: BlockingConfig, embed_dim: int, embed_
         content = pa.compute.utf8_slice_codeunits(content, 0, cfg.content_window)
         if isinstance(content, pa.ChunkedArray):
             content = content.combine_chunks()
-    values, offsets = line_shingles(content)
-    sig = minhash_signature(values, offsets, cfg.num_hashes)
-    emb = embed_strings(content, dim=embed_dim, k=embed_k)
     # sig/emb travel as fixed-width binary blobs: joinable by Acero
     # (list payloads are not), decoded zero-copy with np.frombuffer.
     # Compact encodings keep the pair-join shuffle small: minhash slots
@@ -90,7 +95,25 @@ def featurize_batch(batch: pa.Table, cfg: BlockingConfig, embed_dim: int, embed_
     # 2^-32 collision rate), embeddings as float16 (cosine is computed
     # in float32 after upcast — the reference stores fp16 embeddings
     # too, src/utils/embeddings.py:108-111).
-    sig32 = (sig & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    sig = np.empty((len(content), cfg.num_hashes), dtype=np.uint32)
+    emb = np.empty((len(content), embed_dim), dtype=np.float16)
+    # The slice bounds the kernels' transient working set: about 25 bytes
+    # per content byte (embed holds three uint64 arrays over every byte),
+    # a tracemalloc peak of 5.1 MB median / 7.3 MB max per 128-row
+    # full_link slice.  Small slices keep each worker's arrays in its
+    # warm malloc pool instead of faulting fresh pages every call
+    # (first-touch is ~100 MB/s on cgroup-limited hosts).  Measured on
+    # perfbench full_link, 4 CPUs, alternating runs, as the batch size of
+    # the featurize map that preceded the slicing: 256 read
+    # featurize.cpu_s 2.25-2.42 s against 1.94-2.16 s for 128 (traced,
+    # seeds 601-603) and untraced cpu_s 6.20 against 5.96 s, peak_rss_mb
+    # 2,906 against 2,817 (medians, seeds 601-605), so 128 stays.
+    step = 128
+    for s in range(0, len(content), step):
+        part = content.slice(s, step)
+        values, offsets = line_shingles(part)
+        sig[s : s + len(part)] = minhash_signature(values, offsets, cfg.num_hashes) & U64(0xFFFFFFFF)
+        emb[s : s + len(part)] = embed_strings(part, dim=embed_dim, k=embed_k)
     return pa.table(
         {
             "record_id": batch["record_id"],
@@ -101,28 +124,20 @@ def featurize_batch(batch: pa.Table, cfg: BlockingConfig, embed_dim: int, embed_
             # MATERIALIZED features instead of re-executing the whole
             # ingest scan; every downstream join projects it away.
             "sha256": batch["sha256"],
-            "sig": _binary_rows(np.ascontiguousarray(sig32)),
-            "emb": _binary_rows(np.ascontiguousarray(emb.astype(np.float16))),
+            "sig": _binary_rows(sig),
+            "emb": _binary_rows(emb),
         }
     )
 
 
 def featurize(ds: "ray.data.Dataset", cfg: LinkageConfig) -> "ray.data.Dataset":
-    """records -> features: :func:`featurize_batch` over the dataset."""
-    # batch_size bounds the kernels' transient working set: about 25
-    # bytes per content byte (embed holds three uint64 arrays over every
-    # byte), a tracemalloc peak of 5.1 MB median / 7.3 MB max per
-    # 128-row full_link batch.  Small batches keep each worker's arrays
-    # in its warm malloc pool instead of faulting fresh pages every call
-    # (first-touch is ~100 MB/s on cgroup-limited hosts).  Re-measured
-    # on perfbench full_link, 4 CPUs, alternating runs: 256 read
-    # featurize.cpu_s 2.25-2.42 s against 1.94-2.16 s for 128 (traced,
-    # seeds 601-603) and untraced cpu_s 6.20 against 5.96 s, peak_rss_mb
-    # 2,906 against 2,817 (medians, seeds 601-605), so 128 stays.
+    """records -> features: :func:`featurize_batch` over each block of
+    the dataset (the linkage pipeline builds its features with plain
+    tasks instead, pipelines/linkage.py ``featurize_input``)."""
     return ds.map_batches(
         lambda b: featurize_batch(b, cfg.blocking, cfg.scoring.embed_dim, cfg.scoring.embed_kgram),
         batch_format="pyarrow",
-        batch_size=128,
+        batch_size=None,
         zero_copy_batch=True,
     )
 
@@ -312,10 +327,10 @@ def bucket_pairs(
     drops pairs before the dedup exchange.
 
     ``coalesce=False`` skips the pre-shuffle repartition when the caller
-    already sized the blocks to ``shuffle_partitions()`` (e.g. via
-    ``override_num_blocks`` at the read) — each repartition is a full
-    AllToAll barrier, and the round-5 profile showed the pair stage
-    dominated by exchange coordination, not CPU."""
+    already sized the blocks to ``shuffle_partitions()`` (e.g. the
+    feature blocks of pipelines/linkage.py ``featurize_input``) — each
+    repartition is a full AllToAll barrier, and the round-5 profile
+    showed the pair stage dominated by exchange coordination, not CPU."""
     from ..util import shuffle_partitions
 
     def emit(group: pa.Table) -> pa.Table:

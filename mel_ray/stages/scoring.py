@@ -249,9 +249,10 @@ class _BlockViews:
     """Zero-copy scorer state over the materialized feature blocks: per
     pair batch, searchsorted id lookup + the same kernels as PairScorer.
 
-    sig/emb are per-chunk numpy VIEWS over the plasma-backed Arrow
-    buffers (every worker on a node shares ONE copy of the payload;
-    combining chunks would copy the table per worker, see
+    sig/emb are numpy VIEWS over the plasma-backed Arrow buffers, one per
+    chunk, so one per block for the blocks of pipelines/linkage.py
+    ``featurize_input`` (every worker on a node shares ONE copy of the
+    payload; combining chunks would copy the table per worker, see
     blocking.binary_matrix); an id is found through one argsort of the
     concatenated record_ids and gathered with segmented fancy indexing.
     Round-5 profile note: gathering through ``pc.take`` on a chunked

@@ -21,7 +21,7 @@ def read_parquet_clean(paths, *, columns: list[str] | None = None, **kwargs):
     import ray.data
 
     if "schema" not in kwargs:
-        schema = _sniff_clean_schema(paths, columns)
+        schema = sniff_clean_schema(paths, columns)
         if schema is not None:
             return ray.data.read_parquet(
                 paths, columns=columns, schema=schema, **kwargs
@@ -35,7 +35,7 @@ def read_parquet_clean(paths, *, columns: list[str] | None = None, **kwargs):
     return ds.map_batches(strip, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _sniff_clean_schema(paths, columns, max_probe: int = 8):
+def sniff_clean_schema(paths, columns, max_probe: int = 8):
     """Projected, metadata-free schema sniffed from the input files, or
     ``None`` when it cannot be determined — the caller then falls back
     to a post-read strip map (which also tolerates per-file type

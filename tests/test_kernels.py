@@ -341,6 +341,36 @@ def test_content_window_bounds_featurize_work():
     assert not (sig2[0] == sig2[1]).all()
 
 
+@pytest.mark.parametrize("window", [None, 40])
+def test_featurize_batch_slices_exactly(window):
+    """One featurize_batch call over 300 rows equals, byte for byte, its
+    128-row slices featurized one at a time, with one chunk per feature
+    column; a zero-row batch gives the same columns."""
+    from mel_ray.config import BlockingConfig
+    from mel_ray.stages.blocking import featurize_batch
+
+    rng = random.Random(11)
+    lines = ["def f(x):", "    return x + 1", "import os", "# héllo wörld", "x = [1, 2, 3]", ""]
+    content = ["\n".join(rng.choice(lines) for _ in range(rng.randint(0, 40))) for _ in range(300)]
+    content[5] = ""
+    batch = pa.table(
+        {
+            "record_id": pa.array(range(300), pa.int64()),
+            "repo": pa.array([f"r{i % 7}" for i in range(300)]),
+            "path": pa.array([f"p{i}.py" for i in range(300)]),
+            "sha256": pa.array([f"s{i}" for i in range(300)]),
+            "content": pa.array(content),
+        }
+    )
+    cfg = BlockingConfig(content_window=window)
+    whole = featurize_batch(batch, cfg, 64, 4)
+    slices = [featurize_batch(batch.slice(s, 128), cfg, 64, 4) for s in range(0, 300, 128)]
+    assert whole.equals(pa.concat_tables(slices).combine_chunks())
+    assert whole["sig"].num_chunks == whole["emb"].num_chunks == 1
+    empty = featurize_batch(batch.slice(0, 0), cfg, 64, 4)
+    assert len(empty) == 0 and empty.schema == whole.schema
+
+
 class TestPairEmissionAccounting:
     """No-silent-caps: every semantic degradation of the pair set
     (stopband drop, salting, star-pair cap) is counted in the kernel's

@@ -7,6 +7,7 @@ import collections
 
 import numpy as np
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -618,3 +619,128 @@ def test_session_stats_sink_keeps_runs_apart(tiny_corpus, tmp_path):
         assert run_linkage(corpus, ck).stats["blocking_bands"] == bands, corpus
     assert first[str(planted)]["salted_bands"] >= LinkageConfig().blocking.num_bands
     assert first[str(planted)] != first[str(tiny_corpus / "files")]
+
+
+def _assert_one_chunk_blocks(ds) -> None:
+    """Every non-empty block of ``ds`` holds one chunk per column, and
+    its ``sig`` matrix is a view of the block's Arrow data buffer."""
+    import ray
+
+    from mel_ray.stages.blocking import binary_matrix
+
+    blocks = [t for t in ray.get(ds.to_arrow_refs()) if len(t)]
+    assert blocks
+    for t in blocks:
+        assert {t[c].num_chunks for c in t.column_names} == {1}, {
+            c: t[c].num_chunks for c in t.column_names
+        }
+        sig = t["sig"].chunk(0)
+        first = np.frombuffer(sig.buffers()[1], np.int32)[sig.offset]
+        view = binary_matrix(t["sig"], np.uint32)
+        assert view.__array_interface__["data"][0] == sig.buffers()[2].address + first
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_feature_blocks_hold_one_chunk_per_column(tmp_path):
+    """Feature blocks are contiguous: streaming run_linkage, a
+    checkpointed build and an incremental delta all give blocks with one
+    Arrow chunk per column, so the band-range tasks and the scorer read
+    sig/emb through zero-copy views.  A 2,400-row corpus puts 300 rows
+    in each of the 8 blocks, more than one 128-row featurize slice."""
+    from mel_ray.pipelines.linkage import run_linkage, run_linkage_incremental
+    from mel_ray.synth import generate_corpus
+    from mel_ray.util import shuffle_partitions
+
+    files = sorted(str(f) for f in (generate_corpus(tmp_path / "c", 2400) / "files").glob("*.parquet"))
+    streaming = run_linkage(files)
+    assert streaming.features.num_blocks() == shuffle_partitions()
+    _assert_one_chunk_blocks(streaming.features)
+    # one input file: one committed features stage of P files, read
+    # back one block per file
+    one = tmp_path / "one.parquet"
+    pq.write_table(pq.read_table(files), one)
+    checkpointed = run_linkage(str(one), LinkageConfig(checkpoint_dir=str(tmp_path / "ck")))
+    _assert_one_chunk_blocks(checkpointed.features.materialize())
+    inc = run_linkage_incremental(run_linkage(files[:-1]), files[-1:])
+    assert inc.stats["new_rows"] == 600
+    _assert_one_chunk_blocks(inc.features)
+
+
+def _write_inputs(tiny_corpus, root, case: str):
+    """The tiny corpus's 800 rows, re-sharded for one input-split case:
+    -> (the corpus path to read, its files).  One shard of each case is
+    written through pandas (schema metadata), one with small row groups,
+    and the ``more_files`` and ``file_list`` cases hold a zero-row file."""
+    from pathlib import Path
+
+    from mel_ray.util import shuffle_partitions
+
+    t = pq.read_table(Path(tiny_corpus) / "files")
+    p = shuffle_partitions()
+    d = root / case
+    d.mkdir()
+    if case == "fewer_files":
+        cuts = [0, 300, 550, 800]
+    else:
+        cuts = np.linspace(0, len(t), p + 4).astype(int).tolist()
+    out = []
+    for i, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+        f = d / f"part-{i:05d}.parquet"
+        if i == 1:
+            t.slice(a, b - a).to_pandas().to_parquet(f)
+        else:
+            pq.write_table(t.slice(a, b - a), f, row_group_size=64 if i == 2 else 8192)
+        out.append(str(f))
+    if case == "fewer_files":
+        return str(d), out
+    empty = d / "part-empty.parquet"
+    pq.write_table(t.slice(0, 0), empty)
+    out.append(str(empty))
+    if case == "more_files":
+        return str(d), out
+    listed = [out[0], out[1], out[-1], out[2]]  # fewer files than P, in this order
+    return listed, listed
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("case", ["fewer_files", "more_files", "file_list"])
+def test_featurize_input_split_is_exact(tiny_corpus, tmp_path, case):
+    """featurize_input's P tasks read every input row exactly once:
+    the same records and byte-equal features as the Ray Data read ->
+    ingest -> featurize path, in P metadata-free blocks (the bucketed
+    plan's ``coalesce=False`` relies on the block count)."""
+    import ray
+
+    from mel_ray.pipelines.linkage import featurize_input
+    from mel_ray.stages import blocking as B
+    from mel_ray.stages import ingest as I
+    from mel_ray.util import shuffle_partitions
+
+    cfg = LinkageConfig()
+    path, files = _write_inputs(tiny_corpus, tmp_path, case)
+    if case == "fewer_files":
+        assert len(files) < shuffle_partitions()
+    elif case == "more_files":
+        assert len(files) > shuffle_partitions()
+    assert any(pq.read_schema(f).metadata for f in files)
+
+    got = featurize_input(path, cfg)
+    assert got.num_blocks() == shuffle_partitions()
+    blocks = ray.get(got.to_arrow_refs())
+    assert all(t.schema.metadata is None for t in blocks)
+    got_t = pa.concat_tables(blocks).sort_by("record_id")
+    records = I.ingest(I.read_corpus(path)).to_arrow_refs()
+    want_ids = np.sort(
+        np.concatenate([t["record_id"].to_numpy() for t in ray.get(records) if t.num_columns])
+    )
+    assert len(want_ids) == sum(pq.read_metadata(f).num_rows for f in files) > 0
+    assert (got_t["record_id"].to_numpy() == want_ids).all()
+    want = B.featurize(I.ingest(I.read_corpus(path)), cfg).to_arrow_refs()
+    want_t = pa.concat_tables([t for t in ray.get(want) if t.num_columns]).sort_by("record_id")
+    assert got_t.equals(want_t)
+
+    if case != "fewer_files":
+        # a zero-row delta: P typed empty blocks
+        empty = featurize_input([files[-1] if case == "more_files" else files[2]], cfg)
+        assert empty.count() == 0 and empty.num_blocks() == shuffle_partitions()
+        assert empty.schema().names == got_t.column_names

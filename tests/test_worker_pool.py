@@ -5,7 +5,9 @@ queues on the workers the first run started instead of making the raylet
 start new ones, and it cannot deadlock at two CPUs: a task that blocks in
 ``ray.get`` gives up its CPU.  The check runs in a subprocess with its
 own two-CPU Ray instance, under a timeout, and counts the raylet's child
-processes by reading ``/proc/<pid>/stat``.
+processes by reading ``/proc/<pid>/stat``.  It also counts the feature
+tasks (read, ingest and featurize) each warm call ran, and the CPUs they
+requested, from the task events Ray records in its GCS.
 """
 
 from __future__ import annotations
@@ -84,6 +86,21 @@ def new_processes(fn):
     return out, len(seen - before)
 
 
+def feature_tasks():
+    """task id -> resources requested, of every feature task run so far
+    (the GCS keeps task events; they reach it about once a second)"""
+    from ray._private.state import state
+    from ray.core.generated import gcs_pb2
+
+    time.sleep(2)
+    out = {}
+    for raw in state.global_state_accessor.get_task_events():
+        ev = gcs_pb2.TaskEvents.FromString(raw)
+        if ev.HasField("task_info") and ev.task_info.func_or_class_name.endswith("_featurize_share"):
+            out[ev.task_id] = dict(ev.task_info.required_resources)
+    return out
+
+
 def warm(fn):
     """(last result, fewest new processes over up to ATTEMPTS warm calls)"""
     fewest = None
@@ -102,14 +119,20 @@ gc.collect()
 time.sleep(1)
 ray.get_actor(f"mel_ray_stats_sink_{ray.get_runtime_context().get_job_id()}")
 first_rows = run_linkage(base_files).clusters.count()
+before = feature_tasks()
 second, second_new = warm(lambda: run_linkage(base_files))
 save_result_checkpoint(second, ck)
 base = load_result_from_checkpoint(ck)
+middle = feature_tasks()
 inc, inc_new = warm(lambda: run_linkage_incremental(base, delta_files).clusters.materialize())
+after = feature_tasks()
 print(json.dumps({
     "second_run_new_processes": second_new,
     "incremental_new_processes": inc_new,
     "rows": [first_rows, second.clusters.count(), inc.count()],
+    "feature_blocks": second.features.num_blocks(),
+    "feature_tasks": [len(middle) - len(before), len(after) - len(middle)],
+    "feature_task_resources": sorted({json.dumps(r, sort_keys=True) for r in after.values()}),
 }))
 ray.shutdown()
 '''
@@ -141,3 +164,9 @@ def test_warm_runs_start_no_new_processes_at_two_cpus(tiny_corpus, tmp_path):
     assert got["rows"][2] > got["rows"][1]
     assert got["second_run_new_processes"] == 0, got
     assert got["incremental_new_processes"] == 0, got
+    # P feature tasks per warm call (P = shuffle_partitions() = 8 at two
+    # CPUs; a warm call measured again runs them again), each on a whole CPU
+    p = got["feature_blocks"]
+    assert p == 8, got
+    assert all(n >= p and n % p == 0 for n in got["feature_tasks"]), got
+    assert got["feature_task_resources"] == ['{"CPU": 1.0}'], got
