@@ -59,11 +59,11 @@ class ScoringConfig:
     # (S11/T2: the torch.save state_dict load recast); None = built-in
     # defaults, bit-identical to the unparameterized formula.
     model_checkpoint: str | None = None
-    # Feature tables at or below this many rows are BROADCAST into the
-    # pair-scoring stage (ray.put once, searchsorted lookup per batch —
-    # zero shuffle; the Spark autoBroadcastJoinThreshold idea).  Above
-    # it, hash-shuffle Dataset.join partitions both sides — the 10^12-row
-    # scale path.  ~2M rows ≈ 2 GB of sig+emb.
+    # Feature tables at or below this many rows take band-major blocking,
+    # and the scorer reads views of the materialized feature blocks —
+    # zero shuffle; the Spark autoBroadcastJoinThreshold idea.  Above
+    # it, bucketed blocking and hash-shuffle Dataset.joins partition both
+    # sides — the 10^12-row scale path.  ~2M rows ≈ 2 GB of sig+emb.
     broadcast_limit_rows: int = 2_000_000
 
 

@@ -16,21 +16,23 @@ rows and returns one feature block with one chunk per column.
 One threshold picks the blocking and scoring plans: the feature row
 count against ``ScoringConfig.broadcast_limit_rows``.  At or under it,
 blocking is band-major (band-range tasks over the materialized feature
-blocks, then id-range unique tasks: no exchange) and the scorer reads
-zero-copy views of those same feature blocks (stateless tasks, no
-join); without a checkpoint dir each id-range task scores the pairs it
-uniques, so candidates and scoring are one task graph.  Above it, blocking
-is bucketed (band groupby then pair-dedup groupby, two push-based sort
-exchanges) and scoring is the partitioned ``Dataset.join`` cascade with
-an actor-pool scorer.  ``res.stats["plan"]`` records the choice.
+blocks, then id-range unique tasks: no exchange) and each id-range task
+scores the pairs it uniques over zero-copy views of those same feature
+blocks (stateless tasks, no join), so candidates and scoring are one
+task graph.  Above it, blocking is bucketed (band groupby then
+pair-dedup groupby, two push-based sort exchanges) and scoring is the
+partitioned ``Dataset.join`` cascade with an actor-pool scorer.
+``res.stats["plan"]`` records the choice.
 
-Without a checkpoint dir the stages stream between materialized
-features, scored pairs and components (see :func:`_link`); with one,
-every stage, candidate pairs included, is committed to Parquet.
+The stages are ``features``, ``scored``, ``components`` and
+``clusters``, with or without a checkpoint dir (see :func:`_link`):
+without one they stream between object-store materializations; with
+one, each is committed to Parquet and a rerun restores it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Any
@@ -152,94 +154,75 @@ def run_linkage(
         )
     else:
         features = ckpt.through("features", lambda: featurize_input(corpus_path, cfg, renames))
-    # streaming features come in shuffle_partitions() blocks, so the
-    # bucketed plan needs no coalescing repartition; features read back
-    # from a committed stage need not
-    return _link(ckpt, features, cfg, coalesce=cfg.checkpoint_dir is not None)
+    return _link(ckpt, features, cfg)
 
 
 def _link(
     ckpt: StageCheckpointer,
     features: "ray.data.Dataset",
     cfg: LinkageConfig,
-    coalesce: bool,
     pair_filter=None,
     extra_edges: "ray.data.Dataset | None" = None,
 ) -> LinkageResult:
-    """features -> candidate pairs -> scored pairs -> components ->
-    clusters: the one plan behind :func:`run_linkage` and
-    :func:`run_linkage_incremental`.  ``features`` is materialized: the
-    P blocks of :func:`featurize_input` (the plain tasks over input
-    pieces), or a committed features stage read back.
+    """features -> scored pairs -> components -> clusters: the one plan
+    behind :func:`run_linkage` and :func:`run_linkage_incremental`, with
+    or without a checkpoint dir.  ``features`` is the P blocks of
+    :func:`featurize_input`, or a committed features stage read back; it
+    is materialized at most once, and only when a stage that reads it is
+    built.
 
-    Blocking and scoring plans follow one threshold (module docstring):
-    with at most ``cfg.scoring.broadcast_limit_rows`` feature rows,
-    blocking is band-major (:func:`~mel_ray.stages.blocking.band_major_pairs`)
-    and the scorer reads views of the materialized feature blocks, with
-    no exchange; above it, pairs flow from the bucketed
-    :func:`~mel_ray.stages.blocking.candidate_pairs` (band groupby, then
-    dedup groupby) into the partitioned join cascade.  ``stats["plan"]``
-    records which.
-
-    Without a checkpoint dir the plan STREAMS: no pair-stage
-    materialization.  Under the limit, candidate generation and scoring
-    are one Ray task graph: each band-major id-range task uniques its
-    pairs and scores them (``finish`` =
-    :func:`~mel_ray.stages.scoring.broadcast_scorer`), so the P scored
-    tables are the ``scored`` stage and the end of those tasks is its
-    only barrier.  Each avoided barrier/AllToAll is fixed wall-clock
-    that does not shrink with cluster size (round-5 profile: ~12 s of
-    exchange coordination in the pair stage at EVERY cpu count).  With
-    a checkpoint dir, the pair stage is committed like every other stage
-    (it is the resume unit) and the committed pairs are scored over the
-    same block views.  Band
-    accounting goes to the session's stats sink either way; a committed
-    pair stage keeps its totals in its manifest, so a restored run still
-    reports them.  ``pair_filter`` goes to the blocking plan, and
-    ``coalesce`` to the bucketed one; ``extra_edges`` (u, v) join the
-    accepted pairs before connected components."""
+    The threshold of the module docstring picks how ``scored`` is built.
+    Under it, each band-major id-range task uniques its pairs and scores
+    them (``finish`` = :func:`~mel_ray.stages.scoring.broadcast_scorer`),
+    so the end of those tasks is the stage's only barrier: each avoided
+    barrier/AllToAll is fixed wall-clock that does not shrink with
+    cluster size (round-5 profile: ~12 s of exchange coordination in the
+    pair stage at EVERY cpu count).  Above it, the bucketed
+    :func:`~mel_ray.stages.blocking.candidate_pairs` feed
+    :func:`~mel_ray.stages.scoring.score_pairs`.  Band accounting goes to
+    the session's stats sink and is kept with ``scored`` (in its manifest
+    when committed), so a restored run still reports it.
+    ``pair_filter`` goes to the blocking plan; ``extra_edges`` (u, v)
+    join the accepted pairs before connected components."""
     from ..state.accounting import new_stats_sink
-    from ..util import auto_join_partitions
+    from ..util import auto_join_partitions, shuffle_partitions
 
     join_parts = auto_join_partitions(cfg.join_partitions)
-    streaming = ckpt.root is None
+    feats = functools.cache(features.materialize)
     sink = new_stats_sink()  # this run's token on the session sink
-    # the threshold S.score_pairs_auto applies; count() of materialized
-    # or committed features is a metadata read
+    # count() of materialized or committed features is a metadata read
     broadcast = features.count() <= cfg.scoring.broadcast_limit_rows
     ckpt.stats["plan"] = {
         "blocking": "band_major" if broadcast else "bucketed",
         "scoring": "broadcast" if broadcast else "partitioned",
     }
 
-    def build_pairs(finish=None) -> "ray.data.Dataset":
+    def build() -> "ray.data.Dataset":
+        f = feats()
         if broadcast:
             return B.band_major_pairs(
-                features, cfg.blocking, stats_sink=sink, pair_filter=pair_filter, finish=finish
+                f,
+                cfg.blocking,
+                stats_sink=sink,
+                pair_filter=pair_filter,
+                finish=S.broadcast_scorer(f, cfg.scoring),
             )
-        return B.candidate_pairs(
-            features, cfg.blocking, stats_sink=sink, coalesce=coalesce, pair_filter=pair_filter
+        # featurize_input's blocks are sized to shuffle_partitions();
+        # restored or base ∪ delta features are not, so they coalesce
+        pairs = B.candidate_pairs(
+            f,
+            cfg.blocking,
+            stats_sink=sink,
+            coalesce=f.num_blocks() != shuffle_partitions(),
+            pair_filter=pair_filter,
         )
+        return S.score_pairs(pairs, f, cfg.scoring, cfg.blocking, join_parts)
 
-    if streaming and broadcast:
-        # one task graph: each id-range task scores the pairs it uniques
-        scored = ckpt.through("scored", lambda: build_pairs(S.broadcast_scorer(features, cfg.scoring)))
-    else:
-        pairs = (
-            build_pairs()
-            if streaming
-            else ckpt.through("pairs", build_pairs, counts=lambda: B.band_totals(sink))
-        )
-        scored = ckpt.through(
-            "scored",
-            lambda: S.score_pairs_auto(
-                pairs, features, cfg.scoring, cfg.blocking, join_parts, fan_out=not streaming
-            ),
-        )
-    # scored is materialized, so every emit task has run and its counts
-    # are recorded (bucketed: the in-task ray.get; band-major: the sink
-    # ran this process's puts before this totals call) — totals are final
-    ckpt.stats["blocking_bands"] = B.band_totals(sink) if streaming else ckpt.counts["pairs"]
+    # the counts are read once scored is built, so every emit task has
+    # run and recorded them (bucketed: the in-task ray.get; band-major:
+    # the sink ran this process's puts before this totals call)
+    scored = ckpt.through("scored", build, counts=lambda: B.band_totals(sink))
+    ckpt.stats["blocking_bands"] = ckpt.counts["scored"]
     ray.get(sink.drop.remote())
 
     edges = scored.map_batches(
@@ -252,16 +235,12 @@ def _link(
         edges = edges.union(extra_edges)
     comp = ckpt.through("components", lambda: C.connected_components(edges, cfg.clustering))
 
-    # derive the slim id table from the MATERIALIZED features — selecting
-    # from the lazy records would re-execute the entire ingest scan
-    # (read + sha256 + remap) inside the clusters stage
-    slim = features.map_batches(
-        lambda t: t.select(["record_id", "repo", "path", "sha256"]), batch_format="pyarrow"
-    )
     clusters = ckpt.through(
         "clusters",
         lambda: C.assign_clusters(
-            slim,
+            feats().map_batches(
+                lambda t: t.select(["record_id", "repo", "path", "sha256"]), batch_format="pyarrow"
+            ),
             comp,
             join_parts,
             broadcast_limit_rows=cfg.clustering.assign_broadcast_limit_rows,
@@ -371,13 +350,10 @@ def run_linkage_incremental(
         # no pair touches it
         all_features, touch = base.features, lambda t: t.slice(0, 0)
 
-    # restored base features are not sized to shuffle_partitions(), so
-    # the bucketed plan coalesces the band rows before their exchange
     res = _link(
         StageCheckpointer(None),
         all_features.materialize(),
         cfg,
-        coalesce=True,
         pair_filter=touch,
         extra_edges=base.clusters.map_batches(_label_edges, batch_format="pyarrow"),
     )

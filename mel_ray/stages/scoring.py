@@ -226,12 +226,12 @@ def score_pairs(
 # already is — the materialized feature blocks in plasma, through per-worker
 # views (_BlockViews) — and scores pairs with zero shuffle: the map-side join
 # the reference uses for its qid-remap table (src/utils/qids_remap.py:35-55)
-# and Spark's autoBroadcastJoinThreshold strategy.  The streaming linkage
-# plan runs it inside the band-major id-range tasks (broadcast_scorer as
-# blocking.band_major_pairs' ``finish``); a checkpointed run scores its
-# committed pairs with score_pairs_broadcast.  Above the threshold the
-# partitioned Dataset.join cascade above is used instead (the 10^12-row
-# scale path).
+# and Spark's autoBroadcastJoinThreshold strategy.  The linkage plan runs
+# it inside the band-major id-range tasks (broadcast_scorer as
+# blocking.band_major_pairs' ``finish``); above the threshold it runs the
+# partitioned Dataset.join cascade above (the 10^12-row scale path).
+# score_pairs_broadcast and score_pairs_auto score a separate pair
+# dataset; only perfbench's traced mode calls them.
 # ---------------------------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ rather than double-count (per-bucket values are deterministic) and
 consecutive or concurrent runs never mix.  Producers ``ray.get`` their
 put so a finished producer task implies a recorded entry; reading totals
 after the consuming stage materializes is therefore race-free.  A
-checkpointed pair stage copies its run's totals into its stage manifest
+checkpointed run copies its totals into the ``scored`` stage manifest
 (state/manifest.py), so a restored run reports them without re-emitting.
 
 ONE sink actor serves a whole driver session, because every new actor is

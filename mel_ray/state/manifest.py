@@ -6,7 +6,7 @@ Recast of the reference's idempotence contract — the shell loop's
 verifiable: each stage writes to a temp dir that a rename publishes,
 and the manifest, written last, is the commit point: it records the
 input fingerprint, per-file (partition) row counts and any side counts
-of the stage (a pair stage's band accounting).  A rerun with the same
+of the stage (the ``scored`` stage's band accounting).  A rerun with the same
 input fingerprint streams the stage back from Parquet instead of
 recomputing; a torn run (no manifest) is discarded and recomputed.
 
@@ -60,7 +60,8 @@ def _input_fingerprint(paths: list[str]) -> str:
 # v3: partitioned stages write part-{pid} subdirectories + journal.jsonl.
 # v5: pair stages hold only (id_a, id_b); their band counts live in the
 #     stage manifest's "counts".
-FORMAT_VERSION = 5
+# v6: no pair stage; the scored stage's manifest holds the band counts.
+FORMAT_VERSION = 6
 
 
 def commit_stage(

@@ -159,13 +159,13 @@ def test_partitioned_scoring_path_matches_broadcast(tiny_corpus, tmp_path):
     assign) must produce EXACTLY the broadcast fast path's results — the
     oracle-vs-optimized discipline of the reference's
     SimplifiedBruteForceSearcher (models/searchers/
-    simplified_brute_force_searcher.py:1-20).  Three plans: streaming
-    (band-major id-range tasks score their own pairs), checkpointed
-    (committed pair stage, scored over the same feature block views) and
-    partitioned: broadcast_limit_rows=0 forces every selector to the
-    partitioned branch, and blocking from band-major to bucketed; each
-    run records its choices.  Then the same for an incremental delta,
-    whose pairs pass the delta-touch filter."""
+    simplified_brute_force_searcher.py:1-20).  Two plans, each run with
+    and without a checkpoint dir: band-major (id-range tasks score their
+    own pairs) and partitioned: broadcast_limit_rows=0 forces every
+    selector to the partitioned branch, and blocking from band-major to
+    bucketed; each run records its choices, and no run commits a pair
+    stage.  Then the same for an incremental delta, whose pairs pass the
+    delta-touch filter."""
     from dataclasses import replace
     from pathlib import Path
 
@@ -177,17 +177,27 @@ def test_partitioned_scoring_path_matches_broadcast(tiny_corpus, tmp_path):
         clustering=replace(base.clustering, assign_broadcast_limit_rows=0),
     )
     checkpointed = LinkageConfig(checkpoint_dir=str(tmp_path / "ck"))
+    partitioned_ck = replace(forced, checkpoint_dir=str(tmp_path / "ck_partitioned"))
     runs = {
         name: run_linkage(str(tiny_corpus / "files"), cfg)
-        for name, cfg in [("streaming", base), ("checkpointed", checkpointed), ("partitioned", forced)]
+        for name, cfg in [
+            ("streaming", base),
+            ("checkpointed", checkpointed),
+            ("partitioned", forced),
+            ("partitioned_checkpointed", partitioned_ck),
+        ]
     }
     broadcast_plan = {"blocking": "band_major", "scoring": "broadcast"}
+    partitioned_plan = {"blocking": "bucketed", "scoring": "partitioned"}
     assert runs["streaming"].stats["plan"] == runs["checkpointed"].stats["plan"] == broadcast_plan
-    assert runs["partitioned"].stats["plan"] == {"blocking": "bucketed", "scoring": "partitioned"}
-    assert "pairs" in runs["checkpointed"].stats and "pairs" not in runs["streaming"].stats
+    assert runs["partitioned"].stats["plan"] == partitioned_plan
+    assert runs["partitioned_checkpointed"].stats["plan"] == partitioned_plan
+    assert not any("pairs" in res.stats for res in runs.values())
+    for name in ("checkpointed", "partitioned_checkpointed"):
+        assert not runs[name].stats["scored"]["restored"], name
     want_pairs, want_clusters = _scored_and_clusters(runs["streaming"])
     assert len(want_pairs) > 100
-    for name in ("checkpointed", "partitioned"):
+    for name in ("checkpointed", "partitioned", "partitioned_checkpointed"):
         assert runs[name].stats["blocking_bands"] == runs["streaming"].stats["blocking_bands"]
         pairs, clusters = _scored_and_clusters(runs[name])
         _assert_same_scored(want_pairs, pairs)
@@ -499,8 +509,9 @@ def test_band_major_pairs_equal_bucketed(tiny_corpus, tmp_path, limits):
 
 @pytest.mark.usefixtures("ray_session")
 def test_restored_checkpointed_run_reports_band_accounting(tiny_corpus, tmp_path):
-    """The checkpointed pair stage keeps its band counts in its manifest:
-    a rerun that restores every stage reports the same accounting."""
+    """The checkpointed scored stage keeps its band counts in its
+    manifest: a rerun that restores every stage reports the same
+    accounting."""
     from mel_ray.pipelines.linkage import run_linkage
 
     planted = tmp_path / "planted"
@@ -510,7 +521,7 @@ def test_restored_checkpointed_run_reports_band_accounting(tiny_corpus, tmp_path
 
     built = run_linkage(str(planted), cfg).stats
     restored = run_linkage(str(planted), cfg).stats
-    stages = ("features", "pairs", "scored", "components", "clusters")
+    stages = ("features", "scored", "components", "clusters")
     assert not any(built[s]["restored"] for s in stages)
     assert all(restored[s]["restored"] for s in stages)
     assert restored["blocking_bands"] == built["blocking_bands"]
@@ -613,7 +624,7 @@ def test_session_stats_sink_keeps_runs_apart(tiny_corpus, tmp_path):
         assert set(ray.get(sink.runs.remote())) <= before
     assert ray.get(other.totals.remote("blocking")) == {"salted_bands": 1000}
     ray.get(other.drop.remote())
-    # the checkpointed plan reads the same counts from its committed pair stage
+    # a checkpointed run reads the same counts back from its scored stage
     for i, (corpus, bands) in enumerate(first.items()):
         ck = LinkageConfig(checkpoint_dir=str(tmp_path / f"ck{i}"))
         assert run_linkage(corpus, ck).stats["blocking_bands"] == bands, corpus
@@ -707,8 +718,8 @@ def _write_inputs(tiny_corpus, root, case: str):
 def test_featurize_input_split_is_exact(tiny_corpus, tmp_path, case):
     """featurize_input's P tasks read every input row exactly once:
     the same records and byte-equal features as the Ray Data read ->
-    ingest -> featurize path, in P metadata-free blocks (the bucketed
-    plan's ``coalesce=False`` relies on the block count)."""
+    ingest -> featurize path, in P metadata-free blocks (on that block
+    count the bucketed plan skips its coalescing repartition)."""
     import ray
 
     from mel_ray.pipelines.linkage import featurize_input

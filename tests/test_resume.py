@@ -24,7 +24,7 @@ def test_stage_checkpoint_restore_and_manifest(tmp_path, tiny_corpus):
     manifests1 = {
         p.parent.name: p.read_bytes() for p in ckpt.glob("*/manifest.json")
     }
-    assert set(manifests1) == {"features", "pairs", "scored", "components", "clusters"}
+    assert set(manifests1) == {"features", "scored", "components", "clusters"}
     for name, raw in manifests1.items():
         m = json.loads(raw)
         assert m["row_count"] == sum(part["rows"] for part in m["partitions"])
@@ -46,7 +46,7 @@ def test_torn_stage_is_recomputed(tmp_path, tiny_corpus):
 
     ckpt = tmp_path / "ckpt"
     cfg = LinkageConfig(checkpoint_dir=str(ckpt))
-    run_linkage(str(tiny_corpus / "files"), cfg)
+    first = run_linkage(str(tiny_corpus / "files"), cfg)
     # simulate a crash mid-stage: manifest missing, partial temp data present
     import shutil
 
@@ -57,6 +57,10 @@ def test_torn_stage_is_recomputed(tmp_path, tiny_corpus):
     assert not res.stats["scored"]["restored"]       # recomputed
     assert res.stats["features"]["restored"]         # earlier stages untouched
     assert (stage / "manifest.json").exists()
+    # the band counts come from the rebuilt scored stage, kept in its manifest
+    assert res.stats["blocking_bands"] == first.stats["blocking_bands"]
+    counts = json.loads((stage / "manifest.json").read_text())["counts"]
+    assert counts == first.stats["blocking_bands"]
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -96,7 +100,7 @@ def test_partitioned_stage_resumes_at_first_missing_partition(tmp_path, tiny_cor
 
     # downstream stages must also rebuild (their input stage was torn) —
     # drop them so the comparison below is a full fresh derivation
-    for name in ("pairs", "scored", "components", "clusters"):
+    for name in ("scored", "components", "clusters"):
         shutil.rmtree(ckpt / name, ignore_errors=True)
 
     res2 = run_linkage(str(tiny_corpus / "files"), cfg)
