@@ -5,9 +5,10 @@
       -> featurize   (minhash sig, hashed-ngram embedding)        read included]
       -> blocking    (band keys -> band runs -> unique pairs)    [see below]
       -> scoring     (est-jaccard, cosine, JW/Lev, accept bit)   [see below]
+      -> edges       (accepted pairs as (u, v))                  [1 task per block]
       -> clustering  (connected components)                      [1 task or k x groupby]
-      -> assign      (records ⋈ component labels)                [broadcast or join]
-      -> clusters.parquet / metrics                              [write]
+      -> assign      (records ⋈ component labels)                [1 task per block or join]
+      -> checkpoint stages                                       [1 write task per block]
 
 Read, ingest and featurize are P = ``shuffle_partitions()`` plain tasks
 over input pieces (:func:`featurize_input`): each reads about 1/P of the
@@ -24,6 +25,15 @@ pair-dedup groupby, two push-based sort exchanges) and scoring is the
 partitioned ``Dataset.join`` cascade with an actor-pool scorer.
 ``res.stats["plan"]`` records the choice.
 
+From the features to the committed checkpoint, the band-major plan runs
+no Ray Data execution: the edge filter, connected components under
+``small_graph_limit``, the broadcast assign, an incremental run's base ∪
+delta features and label edges, and the checkpoint writes and reads
+(state/manifest.py) are whole-CPU plain tasks over block refs, wrapped
+in a Dataset (``util.dataset_of``) only where a caller gets one.  At
+the block counts of a linkage run a Ray Data operator costs more in
+executor start-up than its work.
+
 The stages are ``features``, ``scored``, ``components`` and
 ``clusters``, with or without a checkpoint dir (see :func:`_link`):
 without one they stream between object-store materializations; with
@@ -32,7 +42,6 @@ one, each is committed to Parquet and a rerun restores it.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from typing import Any
@@ -49,6 +58,7 @@ from ..stages import clustering as C
 from ..stages import ingest as I
 from ..stages import scoring as S
 from ..state.manifest import StageCheckpointer
+from ..util import dataset_of
 
 
 def _input_shard_groups(corpus_path: str, max_partitions: int = 16) -> list[list[str]] | None:
@@ -72,6 +82,15 @@ def _featurize_share(
     return B.featurize_batch(records, cfg.blocking, cfg.scoring.embed_dim, cfg.scoring.embed_kgram)
 
 
+def featurize_blocks(corpus_path, cfg: LinkageConfig, renames: dict[str, str] | None = None) -> list:
+    """Submit :func:`featurize_input`'s P tasks -> their block refs."""
+    from ..util import shuffle_partitions, sniff_clean_schema
+
+    schema = sniff_clean_schema(corpus_path, I.CORPUS_COLUMNS)
+    task = ray.remote(_featurize_share)
+    return [task.remote(p, schema, cfg, renames) for p in I.split_input(corpus_path, shuffle_partitions())]
+
+
 def featurize_input(
     corpus_path, cfg: LinkageConfig, renames: dict[str, str] | None = None
 ) -> "ray.data.Dataset":
@@ -88,13 +107,7 @@ def featurize_input(
     blocks than files never fuses with the map.  The input is read with
     the schema ``read_parquet_clean`` sniffs, so no block carries pandas
     metadata and every column has one type."""
-    from ..util import shuffle_partitions, sniff_clean_schema
-
-    schema = sniff_clean_schema(corpus_path, I.CORPUS_COLUMNS)
-    task = ray.remote(_featurize_share)
-    return ray.data.from_arrow_refs(
-        [task.remote(p, schema, cfg, renames) for p in I.split_input(corpus_path, shuffle_partitions())]
-    )
+    return ray.data.from_arrow_refs(featurize_blocks(corpus_path, cfg, renames))
 
 
 @dataclass
@@ -150,7 +163,7 @@ def run_linkage(
         # committed partition (record ids are content fingerprints, so a
         # partition-wise rebuild is byte-equivalent to the fused stage)
         features = ckpt.through_partitioned(
-            "features", shard_groups, lambda files: featurize_input(files, cfg, renames)
+            "features", shard_groups, lambda files: featurize_blocks(files, cfg, renames)
         )
     else:
         features = ckpt.through("features", lambda: featurize_input(corpus_path, cfg, renames))
@@ -162,14 +175,13 @@ def _link(
     features: "ray.data.Dataset",
     cfg: LinkageConfig,
     pair_filter=None,
-    extra_edges: "ray.data.Dataset | None" = None,
+    extra_edges: list = (),
 ) -> LinkageResult:
     """features -> scored pairs -> components -> clusters: the one plan
     behind :func:`run_linkage` and :func:`run_linkage_incremental`, with
-    or without a checkpoint dir.  ``features`` is the P blocks of
-    :func:`featurize_input`, or a committed features stage read back; it
-    is materialized at most once, and only when a stage that reads it is
-    built.
+    or without a checkpoint dir.  ``features`` is the materialized
+    feature table: the P blocks of :func:`featurize_input`, a committed
+    features stage read back, or base ∪ delta blocks.
 
     The threshold of the module docstring picks how ``scored`` is built.
     Under it, each band-major id-range task uniques its pairs and scores
@@ -182,15 +194,17 @@ def _link(
     :func:`~mel_ray.stages.scoring.score_pairs`.  Band accounting goes to
     the session's stats sink and is kept with ``scored`` (in its manifest
     when committed), so a restored run still reports it.
-    ``pair_filter`` goes to the blocking plan; ``extra_edges`` (u, v)
-    join the accepted pairs before connected components."""
+
+    The tail is plain tasks over block refs: one per scored block keeps
+    its accepted pairs as (u, v) edges, and connected components and
+    the broadcast assign follow (stages/clustering.py).
+    ``pair_filter`` goes to the blocking plan; ``extra_edges`` (refs to
+    (u, v) blocks) join the accepted pairs before connected components."""
     from ..state.accounting import new_stats_sink
     from ..util import auto_join_partitions, shuffle_partitions
 
     join_parts = auto_join_partitions(cfg.join_partitions)
-    feats = functools.cache(features.materialize)
     sink = new_stats_sink()  # this run's token on the session sink
-    # count() of materialized or committed features is a metadata read
     broadcast = features.count() <= cfg.scoring.broadcast_limit_rows
     ckpt.stats["plan"] = {
         "blocking": "band_major" if broadcast else "bucketed",
@@ -198,25 +212,24 @@ def _link(
     }
 
     def build() -> "ray.data.Dataset":
-        f = feats()
         if broadcast:
             return B.band_major_pairs(
-                f,
+                features,
                 cfg.blocking,
                 stats_sink=sink,
                 pair_filter=pair_filter,
-                finish=S.broadcast_scorer(f, cfg.scoring),
+                finish=S.broadcast_scorer(features, cfg.scoring),
             )
         # featurize_input's blocks are sized to shuffle_partitions();
         # restored or base ∪ delta features are not, so they coalesce
         pairs = B.candidate_pairs(
-            f,
+            features,
             cfg.blocking,
             stats_sink=sink,
-            coalesce=f.num_blocks() != shuffle_partitions(),
+            coalesce=features.num_blocks() != shuffle_partitions(),
             pair_filter=pair_filter,
         )
-        return S.score_pairs(pairs, f, cfg.scoring, cfg.blocking, join_parts)
+        return S.score_pairs(pairs, features, cfg.scoring, cfg.blocking, join_parts)
 
     # the counts are read once scored is built, so every emit task has
     # run and recorded them (bucketed: the in-task ray.get; band-major:
@@ -225,25 +238,21 @@ def _link(
     ckpt.stats["blocking_bands"] = ckpt.counts["scored"]
     ray.get(sink.drop.remote())
 
-    edges = scored.map_batches(
-        lambda t: t.filter(pa.compute.equal(t["accepted"], True))
-        .select(["id_a", "id_b"])
-        .rename_columns(["u", "v"]),
-        batch_format="pyarrow",
-    )
-    if extra_edges is not None:
-        edges = edges.union(extra_edges)
-    comp = ckpt.through("components", lambda: C.connected_components(edges, cfg.clustering))
+    def edges() -> "ray.data.Dataset":
+        accepted = ray.remote(_accepted_edges)
+        return ray.data.from_arrow_refs(
+            [accepted.remote(b) for b in scored.to_arrow_refs()] + list(extra_edges)
+        )
 
+    comp = ckpt.through("components", lambda: C.connected_components(edges(), cfg.clustering))
     clusters = ckpt.through(
         "clusters",
         lambda: C.assign_clusters(
-            feats().map_batches(
-                lambda t: t.select(["record_id", "repo", "path", "sha256"]), batch_format="pyarrow"
-            ),
+            features,
             comp,
             join_parts,
             broadcast_limit_rows=cfg.clustering.assign_broadcast_limit_rows,
+            columns=["record_id", "repo", "path", "sha256"],
         ),
     )
     return LinkageResult(
@@ -259,9 +268,15 @@ def _sorted_ids(*parts: pa.Table) -> np.ndarray:
     return np.sort(np.concatenate([t["record_id"].to_numpy() for t in parts]))
 
 
+def _accepted_edges(t: pa.Table) -> pa.Table:
+    """(worker task) scored pairs -> the accepted ones as (u, v) edges."""
+    e = t.filter(pa.compute.equal(t["accepted"], True)).select(["id_a", "id_b"])
+    return e.rename_columns(["u", "v"])
+
+
 def _label_edges(t: pa.Table) -> pa.Table:
-    """clusters -> (cluster_id, record_id) edges; singletons need none
-    (assign_clusters re-singletons them)."""
+    """(worker task) clusters -> (cluster_id, record_id) edges; singletons
+    need none (assign_clusters re-singletons them)."""
     e = t.select(["cluster_id", "record_id"]).rename_columns(["u", "v"])
     return e.filter(pa.compute.not_equal(e["u"], e["v"]))
 
@@ -329,13 +344,15 @@ def run_linkage_incremental(
         )
     ray.data.DataContext.get_current().shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
 
-    new_features = featurize_input(new_corpus_path, cfg, renames)
-    new_rows = new_features.count()
+    new_blocks = featurize_blocks(new_corpus_path, cfg, renames)
+    new_rows = ray.data.from_arrow_refs(new_blocks).count()
+    # base ∪ delta is the two block lists side by side (no union execution)
+    blocks = base.features.to_arrow_refs()
     if new_rows:
-        all_features = base.features.union(new_features)
+        blocks += new_blocks
         # broadcast the sorted delta-id array (worker assembly task; the
         # driver only holds the ref — same discipline as assign_clusters)
-        ids_ref = ray.remote(_sorted_ids).remote(*new_features.to_arrow_refs())
+        ids_ref = ray.remote(_sorted_ids).remote(*new_blocks)
 
         def touch(t: pa.Table) -> pa.Table:
             # keep the pairs touching the delta, before the dedup exchange
@@ -346,16 +363,16 @@ def run_linkage_incremental(
 
             return t.filter(pa.array(isin(t["id_a"].to_numpy()) | isin(t["id_b"].to_numpy())))
     else:
-        # a zero-row delta: nothing to union into the base features, and
-        # no pair touches it
-        all_features, touch = base.features, lambda t: t.slice(0, 0)
+        # a zero-row delta adds no block, and no pair touches it
+        touch = lambda t: t.slice(0, 0)  # noqa: E731
 
+    label = ray.remote(_label_edges)
     res = _link(
         StageCheckpointer(None),
-        all_features.materialize(),
+        dataset_of(blocks),
         cfg,
         pair_filter=touch,
-        extra_edges=base.clusters.map_batches(_label_edges, batch_format="pyarrow"),
+        extra_edges=[label.remote(b) for b in base.clusters.to_arrow_refs()],
     )
     res.stats.update(
         incremental=True, new_rows=new_rows, exact=not any(res.stats["blocking_bands"].values())
@@ -385,27 +402,29 @@ def load_result_from_checkpoint(checkpoint_dir: str) -> LinkageResult:
     disk-backed base a standing ingest pipeline hands to
     :func:`run_linkage_incremental` after a restart.  Only the stages
     incremental needs are required (``features`` + ``clusters``);
-    ``scored`` rides along when present."""
+    ``scored`` rides along when present.  Every stage's read tasks
+    (state.manifest.stage_blocks) are submitted before any is waited on,
+    and the stages come back materialized."""
     from pathlib import Path
 
-    from ..util import read_parquet_clean
+    from ..state.manifest import stage_blocks
 
     root = Path(checkpoint_dir)
-    need = {}
-    for stage in ("features", "clusters"):
+    blocks = {}
+    for stage in ("features", "clusters", "scored"):
         data = root / stage / "data"
-        if not (root / stage / "manifest.json").exists() or not data.is_dir():
+        if (root / stage / "manifest.json").exists() and data.is_dir():
+            blocks[stage] = stage_blocks(data)
+        elif stage != "scored":
             raise FileNotFoundError(
                 f"checkpoint at {checkpoint_dir} has no committed '{stage}' stage"
             )
-        need[stage] = read_parquet_clean(str(data))
-    scored_dir = root / "scored" / "data"
-    scored = read_parquet_clean(str(scored_dir)) if scored_dir.is_dir() else None
+    ds = {stage: dataset_of(refs) for stage, refs in blocks.items()}
     return LinkageResult(
-        clusters=need["clusters"],
-        scored_pairs=scored,
+        clusters=ds["clusters"],
+        scored_pairs=ds.get("scored"),
         stats={"restored_from": str(root)},
-        features=need["features"],
+        features=ds["features"],
         feature_token=json.loads((root / "features" / "manifest.json").read_text()).get(
             "feature_token"
         ),
@@ -419,11 +438,14 @@ def save_result_checkpoint(res: LinkageResult, checkpoint_dir: str) -> dict:
     committed, then delta₂ links against it, and so on (chaining is
     exact: see the two-delta associativity test in tests/test_linkage.py).
 
-    Every stage is committed (state.manifest.commit_stage) under a temp
-    root inside ``checkpoint_dir``, and the stages are swapped in only
-    once all writes have finished: the result may still read lazily from
-    the checkpoint it replaces (restore -> incremental -> commit in
-    place).  Each manifest records the result's feature token, which
+    Every stage is committed (state.manifest.start_commit: one write
+    task per block, all stages' writes in one wave) under a temp root
+    inside ``checkpoint_dir``, and the stages are swapped in only once
+    all writes have finished, so a crash mid-write leaves the previous
+    checkpoint whole.  A restored result is already in the object store
+    (restores are not lazy), so it may be committed over the checkpoint
+    it came from (restore -> incremental -> commit in place).  Each
+    manifest records the result's feature token, which
     :func:`run_linkage_incremental` checks on the restored base.  The
     fingerprint records the result's provenance dict rather than an
     input path list (an incremental base has no single input dir)."""
@@ -433,7 +455,7 @@ def save_result_checkpoint(res: LinkageResult, checkpoint_dir: str) -> dict:
     import tempfile
     from pathlib import Path
 
-    from ..state.manifest import commit_stage
+    from ..state.manifest import start_commit
 
     stages = {"features": res.features, "clusters": res.clusters}
     if res.scored_pairs is not None:
@@ -448,11 +470,10 @@ def save_result_checkpoint(res: LinkageResult, checkpoint_dir: str) -> dict:
     root.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".commit-", dir=root))
     try:
+        finish = {name: start_commit(staging / name, ds) for name, ds in stages.items()}
         out = {
-            name: commit_stage(
-                staging / name, ds, fingerprint, meta={"feature_token": res.feature_token}
-            )["row_count"]
-            for name, ds in stages.items()
+            name: f(fingerprint, meta={"feature_token": res.feature_token})["row_count"]
+            for name, f in finish.items()
         }
         for name in stages:
             if (root / name).exists():

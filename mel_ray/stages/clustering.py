@@ -221,62 +221,63 @@ def cached_get(ref):
     return hit
 
 
+def _assemble_labels(*parts: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+    """(worker task) label blocks -> sorted lookup arrays (ids, cluster ids)."""
+    if not parts:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    t = pa.concat_tables(list(parts)).combine_chunks()
+    ids = t["record_id"].to_numpy()
+    order = np.argsort(ids, kind="stable")
+    return ids[order], t["cluster_id"].to_numpy()[order]
+
+
+def _assign_block(
+    labels: tuple[np.ndarray, np.ndarray], batch: pa.Table, columns: list[str] | None
+) -> pa.Table:
+    """(worker task) one record block [its ``columns``] + ``cluster_id``:
+    the record's component label, or its own id for a singleton."""
+    if columns is not None:
+        batch = batch.select(columns)
+    ids, cids = labels
+    rid = batch["record_id"].to_numpy()
+    cid = rid
+    if len(ids):
+        pos = np.minimum(np.searchsorted(ids, rid), len(ids) - 1)
+        cid = np.where(ids[pos] == rid, cids[pos], rid)
+    return batch.append_column("cluster_id", pa.array(cid.astype(np.int64)))
+
+
 def assign_clusters(
     records: "ray.data.Dataset",
     component_labels: "ray.data.Dataset",
     num_partitions: int,
     broadcast_limit_rows: int = 20_000_000,
+    columns: list[str] | None = None,
 ) -> "ray.data.Dataset":
-    """All records ⋈ component labels (left outer); singletons get their own id.
+    """All records [their ``columns``] ⋈ component labels (left outer);
+    singletons get their own id.
 
     The label table only holds non-singleton nodes (≪ corpus), so the
-    default strategy is a broadcast map-side join (sorted-array lookup
-    per batch, zero shuffle); a partitioned left-outer ``Dataset.join``
-    takes over past the broadcast threshold."""
+    default strategy is a broadcast map-side join: one task assembles
+    the sorted label arrays, then one plain task per record block
+    selects its columns and looks its ids up (:func:`_assign_block`;
+    the label ref is a task argument, read zero-copy from the object
+    store), with no shuffle and no Ray Data execution.  A partitioned
+    left-outer ``Dataset.join`` takes over past the broadcast
+    threshold."""
     n = component_labels.count()
     if n <= broadcast_limit_rows:
-        def _assemble_labels(*parts):
-            # (worker task) label blocks -> sorted lookup arrays; the
-            # driver only ever holds the returned ObjectRef
-            if not parts:
-                return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-            t = pa.concat_tables(list(parts)).combine_chunks()
-            ids = t["record_id"].to_numpy()
-            cids = t["cluster_id"].to_numpy()
-            order = np.argsort(ids, kind="stable")
-            return ids[order], cids[order]
-
-        # a whole-CPU task on the warm pool; the assign tasks that wait
-        # on it give up their CPU while blocked (rule: blocking.py
-        # band_major_pairs)
-        ref = ray.remote(_assemble_labels).remote(
-            *component_labels.to_arrow_refs()
+        # whole-CPU tasks on the warm pool; an assign task waiting on
+        # the labels takes no CPU until they are ready (rule:
+        # blocking.py band_major_pairs)
+        labels = ray.remote(_assemble_labels).remote(*component_labels.to_arrow_refs())
+        assign = ray.remote(_assign_block)
+        return ray.data.from_arrow_refs(
+            [assign.remote(labels, b, columns) for b in records.to_arrow_refs()]
         )
 
-        def _assign(batch: pa.Table) -> pa.Table:
-            # STATELESS TASK, not an actor pool: ray.get on the label-array
-            # ref is zero-copy from plasma (read-only numpy views), so there
-            # is no per-worker state worth amortizing — tasks run on the
-            # prestarted warm workers with no actor spawn/init on the
-            # critical path (see scoring.score_pairs_broadcast, round-5
-            # profile: actor startup dominated these short broadcast stages)
-            ids, cids = cached_get(ref)
-            rid = batch["record_id"].to_numpy()
-            pos = np.searchsorted(ids, rid)
-            pos = np.minimum(pos, max(len(ids) - 1, 0))
-            if len(ids):
-                hit = ids[pos] == rid
-                cid = np.where(hit, cids[pos], rid)
-            else:
-                cid = rid
-            return batch.append_column("cluster_id", pa.array(cid.astype(np.int64)))
-
-        return records.map_batches(
-            _assign,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-
+    if columns is not None:
+        records = records.select_columns(columns)
     from .scoring import JOIN_AGG_ARGS
 
     joined = records.join(

@@ -140,6 +140,17 @@ def auto_pool_size(requested: int | None) -> int:
     return max(2, cluster_cpus() // 4)
 
 
+def dataset_of(refs: list):
+    """Block refs -> a materialized Dataset over them.  Materialized, so
+    each later ``to_arrow_refs()`` is a lookup: on a bare
+    ``ray.data.from_arrow_refs`` dataset every such call runs a Ray Data
+    execution (about 18 ms for 8 blocks on 4 CPUs, against 7 ms once for
+    the ``materialize()``)."""
+    import ray.data
+
+    return ray.data.from_arrow_refs(refs).materialize()
+
+
 def drop_schemaless_blocks(ds):
     """Rebuild an (already materialized) dataset without its
     zero-COLUMN empty blocks.

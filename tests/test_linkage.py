@@ -376,7 +376,12 @@ def test_incremental_empty_delta_returns_base_clusters(tiny_corpus, tmp_path):
     cluster table, unchanged."""
     from pathlib import Path
 
-    from mel_ray.pipelines.linkage import run_linkage, run_linkage_incremental
+    from mel_ray.pipelines.linkage import (
+        load_result_from_checkpoint,
+        run_linkage,
+        run_linkage_incremental,
+        save_result_checkpoint,
+    )
 
     files = sorted(str(f) for f in (Path(tiny_corpus) / "files").rglob("*.parquet"))
     empty = tmp_path / "empty.parquet"
@@ -392,6 +397,11 @@ def test_incremental_empty_delta_returns_base_clusters(tiny_corpus, tmp_path):
     assert got.equals(want)
     assert inc.stats["new_rows"] == 0
     assert inc.scored_pairs.count() == 0
+    # its zero-row scored stage commits and restores with its columns
+    save_result_checkpoint(inc, str(tmp_path / "ck"))
+    back = load_result_from_checkpoint(str(tmp_path / "ck")).scored_pairs
+    want = inc.scored_pairs.schema()
+    assert back.count() == 0 and (back.schema().names, back.schema().types) == (want.names, want.types)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -423,6 +433,92 @@ def test_incremental_commit_in_place_equals_full_run(tiny_corpus, tmp_path):
     got = load_result_from_checkpoint(ck).clusters.to_pandas()[cols]
     assert got.sort_values("record_id").reset_index(drop=True).equals(want)
     assert not [p for p in Path(ck).iterdir() if p.name.startswith(".")]  # staging removed
+
+
+def _sorted_rows(ds, keys: list[str]) -> pa.Table:
+    import ray
+
+    t = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    return t.sort_by([(k, "ascending") for k in keys]).combine_chunks()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_checkpoint_written_by_ray_data_restores_equal(tiny_corpus, tmp_path):
+    """A checkpoint whose stages Ray Data's ``write_parquet`` wrote (its
+    file names, several files per stage) restores to the same rows as
+    one written a file per block; a zero-row stage that writer left as
+    an empty data dir restores with no rows."""
+    import shutil
+    from pathlib import Path
+
+    import ray.data
+
+    from mel_ray.pipelines.linkage import (
+        load_result_from_checkpoint,
+        run_linkage,
+        save_result_checkpoint,
+    )
+
+    ck, old = tmp_path / "ck", tmp_path / "old"
+    save_result_checkpoint(run_linkage(str(tiny_corpus / "files")), str(ck))
+    shutil.copytree(ck, old)
+    keys = {"features": ["record_id"], "clusters": ["record_id"], "scored": ["id_a", "id_b"]}
+    for stage in keys:
+        data = old / stage / "data"
+        t = pq.read_table(data)
+        shutil.rmtree(data)
+        cuts = [0, len(t) // 3, len(t) // 2, len(t)]
+        ray.data.from_arrow([t.slice(a, b - a) for a, b in zip(cuts, cuts[1:])]).write_parquet(str(data))
+        assert len(list(data.glob("*.parquet"))) >= 2, stage
+        assert not any(f.name.startswith("part-") for f in data.iterdir())
+    new, back = load_result_from_checkpoint(str(ck)), load_result_from_checkpoint(str(old))
+    assert new.feature_token == back.feature_token
+    for stage, k in keys.items():
+        field = "scored_pairs" if stage == "scored" else stage
+        want = _sorted_rows(getattr(new, field), k)
+        assert len(want) > 0 and want.equals(_sorted_rows(getattr(back, field), k)), stage
+
+    for f in (old / "scored" / "data").iterdir():
+        f.unlink()
+    assert load_result_from_checkpoint(str(old)).scored_pairs.count() == 0
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_daily_loop_runs_no_ray_data_execution(tiny_corpus, tmp_path, monkeypatch):
+    """The daily loop — link, save, load, link a delta incrementally,
+    save — reads, writes, maps and unions no Ray Data dataset: every
+    step is plain tasks over block refs.  Its clusters equal a
+    from-scratch run's."""
+    from pathlib import Path
+
+    import ray.data
+
+    from mel_ray.pipelines.linkage import (
+        load_result_from_checkpoint,
+        run_linkage,
+        run_linkage_incremental,
+        save_result_checkpoint,
+    )
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} ran in the daily loop")
+
+        return call
+
+    files = sorted(str(f) for f in (Path(tiny_corpus) / "files").rglob("*.parquet"))
+    monkeypatch.setattr(ray.data, "read_parquet", refuse("read_parquet"))
+    for name in ("write_parquet", "map_batches", "union"):
+        monkeypatch.setattr(ray.data.Dataset, name, refuse(name))
+    save_result_checkpoint(run_linkage(files[:-1]), str(tmp_path / "base"))
+    inc = run_linkage_incremental(load_result_from_checkpoint(str(tmp_path / "base")), files[-1:])
+    written = save_result_checkpoint(inc, str(tmp_path / "next"))
+    got = _sorted_rows(load_result_from_checkpoint(str(tmp_path / "next")).clusters, ["record_id"])
+    monkeypatch.undo()
+
+    want = _sorted_rows(run_linkage(str(tiny_corpus / "files")).clusters, ["record_id"])
+    assert written["clusters"] == len(want) > 0
+    assert got.select(want.column_names).equals(want)
 
 
 def _planted(tiny_corpus, n: int = 100):
@@ -654,10 +750,11 @@ def _assert_one_chunk_blocks(ds) -> None:
 @pytest.mark.usefixtures("ray_session")
 def test_feature_blocks_hold_one_chunk_per_column(tmp_path):
     """Feature blocks are contiguous: streaming run_linkage, a
-    checkpointed build and an incremental delta all give blocks with one
-    Arrow chunk per column, so the band-range tasks and the scorer read
-    sig/emb through zero-copy views.  A 2,400-row corpus puts 300 rows
-    in each of the 8 blocks, more than one 128-row featurize slice."""
+    checkpointed build, a partitioned checkpoint read back and an
+    incremental delta all give blocks with one Arrow chunk per column,
+    so the band-range tasks and the scorer read sig/emb through
+    zero-copy views.  A 2,400-row corpus puts 300 rows in each of the 8
+    blocks, more than one 128-row featurize slice."""
     from mel_ray.pipelines.linkage import run_linkage, run_linkage_incremental
     from mel_ray.synth import generate_corpus
     from mel_ray.util import shuffle_partitions
@@ -671,7 +768,19 @@ def test_feature_blocks_hold_one_chunk_per_column(tmp_path):
     one = tmp_path / "one.parquet"
     pq.write_table(pq.read_table(files), one)
     checkpointed = run_linkage(str(one), LinkageConfig(checkpoint_dir=str(tmp_path / "ck")))
-    _assert_one_chunk_blocks(checkpointed.features.materialize())
+    _assert_one_chunk_blocks(checkpointed.features)
+    # several input files: a partitioned features stage of more files
+    # than blocks, read back by the build and by a restoring rerun
+    cfg = LinkageConfig(checkpoint_dir=str(tmp_path / "ck_parts"))
+    built = run_linkage(files, cfg)
+    assert built.stats["features"]["partitions_built"] == len(files) > 1
+    written = list((tmp_path / "ck_parts" / "features" / "data").rglob("*.parquet"))
+    assert len(written) > shuffle_partitions()
+    restored = run_linkage(files, cfg)
+    assert restored.stats["features"]["restored"]
+    for res in (built, restored):
+        assert res.features.num_blocks() == shuffle_partitions()
+        _assert_one_chunk_blocks(res.features)
     inc = run_linkage_incremental(run_linkage(files[:-1]), files[-1:])
     assert inc.stats["new_rows"] == 600
     _assert_one_chunk_blocks(inc.features)

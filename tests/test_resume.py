@@ -117,6 +117,61 @@ def test_partitioned_stage_resumes_at_first_missing_partition(tmp_path, tiny_cor
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_empty_stage_keeps_its_schema(tmp_path):
+    """A zero-row stage commits one schema-only file, so it restores with
+    its columns: committed directly (start_commit, as
+    save_result_checkpoint does) and built then restored through
+    StageCheckpointer.through."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    from mel_ray.state.manifest import StageCheckpointer, stage_blocks, start_commit
+
+    cols = {"id_a": pa.int64(), "id_b": pa.int64(), "score": pa.float64(), "accepted": pa.bool_()}
+    empty = pa.schema(cols).empty_table()
+    scored = ray.data.from_arrow_refs([ray.put(empty), ray.put(empty)])
+
+    manifest = start_commit(tmp_path / "direct" / "scored", scored)("fp")
+    assert manifest["row_count"] == 0
+    assert [p["rows"] for p in manifest["partitions"]] == [0]
+    back = ray.data.from_arrow_refs(stage_blocks(tmp_path / "direct" / "scored" / "data"))
+    assert back.count() == 0
+    assert back.schema().names == list(cols)
+
+    ckpt = StageCheckpointer(str(tmp_path / "ck"), fingerprint_inputs=["no-input"])
+    built = ckpt.through("scored", lambda: scored)
+    restored = StageCheckpointer(str(tmp_path / "ck"), fingerprint_inputs=["no-input"])
+    again = restored.through("scored", lambda: pytest.fail("a committed stage is rebuilt"))
+    assert not ckpt.stats["scored"]["restored"] and restored.stats["scored"]["restored"]
+    for ds in (built, again):
+        assert ds.count() == 0
+        assert [(f.name, f.type) for f in pa.schema(ds.schema().base_schema)] == list(cols.items())
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_stage_wall_covers_the_builder(tmp_path):
+    """A checkpointed stage's wall_sec times the builder call and the
+    write, in its manifest and in the run stats."""
+    import time
+
+    import pyarrow as pa
+    import ray.data
+
+    from mel_ray.state.manifest import StageCheckpointer
+
+    def slow_builder():
+        time.sleep(0.5)
+        return ray.data.from_arrow(pa.table({"x": [1, 2, 3]}))
+
+    ckpt = StageCheckpointer(str(tmp_path / "ck"), fingerprint_inputs=["no-input"])
+    assert ckpt.through("slow", slow_builder).count() == 3
+    manifest = json.loads((tmp_path / "ck" / "slow" / "manifest.json").read_text())
+    assert manifest["wall_sec"] >= 0.5
+    assert ckpt.stats["slow"]["wall_sec"] == manifest["wall_sec"]
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_validate_output_tree_equality(tmp_path):
     """tools/validate_output.py: two trees with the same rows in a
     different row order AND different partitioning compare equal; a
