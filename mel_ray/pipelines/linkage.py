@@ -10,9 +10,9 @@
       -> assign      (records ⋈ component labels)                [1 task per block or join]
       -> checkpoint stages                                       [1 write task per block]
 
-Read, ingest and featurize are P = ``shuffle_partitions()`` plain tasks
-over input pieces (:func:`featurize_input`): each reads about 1/P of the
-rows and returns one feature block with one chunk per column.
+Read, ingest and featurize are P = ``shuffle_partitions()`` plain tasks,
+one per input share (:func:`share_featurizer`): each reads about 1/P of
+the rows and returns one feature block with one chunk per column.
 
 One threshold picks the blocking and scoring plans: the feature row
 count against ``ScoringConfig.broadcast_limit_rows``.  At or under it,
@@ -35,9 +35,11 @@ the block counts of a linkage run a Ray Data operator costs more in
 executor start-up than its work.
 
 The stages are ``features``, ``scored``, ``components`` and
-``clusters``, with or without a checkpoint dir (see :func:`_link`):
-without one they stream between object-store materializations; with
-one, each is committed to Parquet and a rerun restores it.
+``clusters``, built by the same tasks with or without a checkpoint dir
+(see :func:`_link`): without one they stream between object-store
+materializations; a checkpoint dir adds the commits, one per input share
+for ``features`` and one for each other stage, and a rerun restores what
+they committed (state/manifest.py ``StageCheckpointer.through``).
 """
 
 from __future__ import annotations
@@ -58,19 +60,7 @@ from ..stages import clustering as C
 from ..stages import ingest as I
 from ..stages import scoring as S
 from ..state.manifest import StageCheckpointer
-from ..util import dataset_of
-
-
-def _input_shard_groups(corpus_path: str, max_partitions: int = 16) -> list[list[str]] | None:
-    """Group the input's parquet shards into <= max_partitions resume
-    units (one unit = one committed partition; grouping amortizes
-    per-pipeline scheduling overhead when the input has many shards)."""
-    shards = sorted(I.input_files(corpus_path))
-    if len(shards) < 2:
-        return None
-    n = min(max_partitions, len(shards))
-    per = (len(shards) + n - 1) // n
-    return [shards[i : i + per] for i in range(0, len(shards), per)]
+from ..util import dataset_of, shuffle_partitions
 
 
 def _featurize_share(
@@ -82,22 +72,11 @@ def _featurize_share(
     return B.featurize_batch(records, cfg.blocking, cfg.scoring.embed_dim, cfg.scoring.embed_kgram)
 
 
-def featurize_blocks(corpus_path, cfg: LinkageConfig, renames: dict[str, str] | None = None) -> list:
-    """Submit :func:`featurize_input`'s P tasks -> their block refs."""
-    from ..util import shuffle_partitions, sniff_clean_schema
-
-    schema = sniff_clean_schema(corpus_path, I.CORPUS_COLUMNS)
-    task = ray.remote(_featurize_share)
-    return [task.remote(p, schema, cfg, renames) for p in I.split_input(corpus_path, shuffle_partitions())]
-
-
-def featurize_input(
-    corpus_path, cfg: LinkageConfig, renames: dict[str, str] | None = None
-) -> "ray.data.Dataset":
-    """Parquet input -> the materialized feature table, in P =
-    ``shuffle_partitions()`` blocks: one plain task per share of
-    :func:`~mel_ray.stages.ingest.split_input` reads, ingests and
-    featurizes its rows and returns one block with one chunk per column.
+def share_featurizer(corpus_path, cfg: LinkageConfig, renames: dict[str, str] | None = None):
+    """-> ``build(pieces)``, which submits the plain task that reads,
+    ingests and featurizes one share of
+    :func:`~mel_ray.stages.ingest.split_input` -> [its feature block
+    ref], one block with one chunk per column.
 
     Plain whole-CPU tasks on the warm worker pool, not a Ray Data read
     and map: Ray Data's backpressure budgets each map task at
@@ -107,7 +86,18 @@ def featurize_input(
     blocks than files never fuses with the map.  The input is read with
     the schema ``read_parquet_clean`` sniffs, so no block carries pandas
     metadata and every column has one type."""
-    return ray.data.from_arrow_refs(featurize_blocks(corpus_path, cfg, renames))
+    from ..util import sniff_clean_schema
+
+    schema = sniff_clean_schema(corpus_path, I.CORPUS_COLUMNS)
+    task = ray.remote(_featurize_share)
+    return lambda pieces: [task.remote(pieces, schema, cfg, renames)]
+
+
+def featurize_blocks(corpus_path, cfg: LinkageConfig, renames: dict[str, str] | None = None) -> list:
+    """Parquet input -> the refs of its P = ``shuffle_partitions()``
+    feature blocks, one per input share (:func:`share_featurizer`)."""
+    build = share_featurizer(corpus_path, cfg, renames)
+    return [b for pieces in I.split_input(corpus_path, shuffle_partitions()) for b in build(pieces)]
 
 
 @dataclass
@@ -140,33 +130,20 @@ def run_linkage(
     renames: dict[str, str] | None = None,
 ) -> LinkageResult:
     cfg = cfg or LinkageConfig()
-    # Push-based (pipelined, merge-factor) sort shuffle for the
-    # bucketed plan's band/bucket exchanges and for clustering's
-    # groupbys: the stage profile (BENCH/BASELINE.md,
-    # round-5 session 2) showed the plain sort's barrier bubbles leave
-    # ~half the cores idle at >=8 CPUs while stage CPU stays constant;
-    # push-based reads 5-8% faster end-to-end at 8/32 CPUs and is
-    # neutral at 2 (measured A/B, same windows, outputs identical —
-    # both shuffles are semantics-preserving physical plans).
-    ray.data.DataContext.get_current().shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
-
     ckpt = StageCheckpointer(
         cfg.checkpoint_dir,
         fingerprint_inputs=[corpus_path],
         config_token=repr((cfg.blocking, cfg.scoring, cfg.clustering, renames)),
         meta={"feature_token": feature_token(cfg)},
     )
-
-    shard_groups = _input_shard_groups(corpus_path) if cfg.checkpoint_dir else None
-    if shard_groups and len(shard_groups) > 1:
-        # per-partition resume: each input-shard group is an independently
-        # committed partition (record ids are content fingerprints, so a
-        # partition-wise rebuild is byte-equivalent to the fused stage)
-        features = ckpt.through_partitioned(
-            "features", shard_groups, lambda files: featurize_blocks(files, cfg, renames)
-        )
-    else:
-        features = ckpt.through("features", lambda: featurize_input(corpus_path, cfg, renames))
+    # one part per input share, streamed or checkpointed: a torn
+    # checkpointed run resumes at its first missing share (record ids are
+    # content fingerprints, so a part-wise rebuild equals the whole stage)
+    features = ckpt.through(
+        "features",
+        share_featurizer(corpus_path, cfg, renames),
+        parts=I.split_input(corpus_path, shuffle_partitions()),
+    )
     return _link(ckpt, features, cfg)
 
 
@@ -180,8 +157,8 @@ def _link(
     """features -> scored pairs -> components -> clusters: the one plan
     behind :func:`run_linkage` and :func:`run_linkage_incremental`, with
     or without a checkpoint dir.  ``features`` is the materialized
-    feature table: the P blocks of :func:`featurize_input`, a committed
-    features stage read back, or base ∪ delta blocks.
+    feature table: the P share blocks of :func:`share_featurizer`, a
+    committed features stage read back, or base ∪ delta blocks.
 
     The threshold of the module docstring picks how ``scored`` is built.
     Under it, each band-major id-range task uniques its pairs and scores
@@ -201,8 +178,17 @@ def _link(
     ``pair_filter`` goes to the blocking plan; ``extra_edges`` (refs to
     (u, v) blocks) join the accepted pairs before connected components."""
     from ..state.accounting import new_stats_sink
-    from ..util import auto_join_partitions, shuffle_partitions
+    from ..util import auto_join_partitions
 
+    # Push-based (pipelined, merge-factor) sort shuffle for the
+    # bucketed plan's band/bucket exchanges and for clustering's
+    # groupbys, the only plans that shuffle: the stage profile
+    # (BENCH/BASELINE.md, round-5 session 2) showed the plain sort's
+    # barrier bubbles leave ~half the cores idle at >=8 CPUs while stage
+    # CPU stays constant; push-based reads 5-8% faster end-to-end at 8/32
+    # CPUs and is neutral at 2 (measured A/B, same windows, outputs
+    # identical — both shuffles are semantics-preserving physical plans).
+    ray.data.DataContext.get_current().shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
     join_parts = auto_join_partitions(cfg.join_partitions)
     sink = new_stats_sink()  # this run's token on the session sink
     broadcast = features.count() <= cfg.scoring.broadcast_limit_rows
@@ -211,7 +197,7 @@ def _link(
         "scoring": "broadcast" if broadcast else "partitioned",
     }
 
-    def build() -> "ray.data.Dataset":
+    def build(_part) -> "ray.data.Dataset":  # scored is one part
         if broadcast:
             return B.band_major_pairs(
                 features,
@@ -220,8 +206,8 @@ def _link(
                 pair_filter=pair_filter,
                 finish=S.broadcast_scorer(features, cfg.scoring),
             )
-        # featurize_input's blocks are sized to shuffle_partitions();
-        # restored or base ∪ delta features are not, so they coalesce
+        # built and restored features come in shuffle_partitions()
+        # blocks; base ∪ delta features do not, so they coalesce
         pairs = B.candidate_pairs(
             features,
             cfg.blocking,
@@ -244,10 +230,10 @@ def _link(
             [accepted.remote(b) for b in scored.to_arrow_refs()] + list(extra_edges)
         )
 
-    comp = ckpt.through("components", lambda: C.connected_components(edges(), cfg.clustering))
+    comp = ckpt.through("components", lambda _: C.connected_components(edges(), cfg.clustering))
     clusters = ckpt.through(
         "clusters",
-        lambda: C.assign_clusters(
+        lambda _: C.assign_clusters(
             features,
             comp,
             join_parts,
@@ -342,8 +328,6 @@ def run_linkage_incremental(
             f"{base.feature_token!r}, this run's is {feature_token(cfg)!r}: link "
             "the delta with the base's config, or re-link base ∪ delta from scratch"
         )
-    ray.data.DataContext.get_current().shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
-
     new_blocks = featurize_blocks(new_corpus_path, cfg, renames)
     new_rows = ray.data.from_arrow_refs(new_blocks).count()
     # base ∪ delta is the two block lists side by side (no union execution)
@@ -356,7 +340,7 @@ def run_linkage_incremental(
 
         def touch(t: pa.Table) -> pa.Table:
             # keep the pairs touching the delta, before the dedup exchange
-            ids = C.cached_get(ids_ref)
+            ids = ray.get(ids_ref)
 
             def isin(x):
                 return ids[np.minimum(np.searchsorted(ids, x), len(ids) - 1)] == x

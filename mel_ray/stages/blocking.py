@@ -13,7 +13,7 @@ Dataflow::
         (record_id, repo, path, sha256, sig, emb; one chunk per column)
 
 P = ``shuffle_partitions()`` such tasks build the feature table
-(pipelines/linkage.py ``featurize_input``; :func:`featurize` runs the
+(pipelines/linkage.py ``featurize_blocks``; :func:`featurize` runs the
 same kernel as a Ray Data map), then one of two plans, picked by the
 scorer's own threshold (feature rows <=
 ``ScoringConfig.broadcast_limit_rows``, pipelines/linkage.py ``_link``):
@@ -133,7 +133,7 @@ def featurize_batch(batch: pa.Table, cfg: BlockingConfig, embed_dim: int, embed_
 def featurize(ds: "ray.data.Dataset", cfg: LinkageConfig) -> "ray.data.Dataset":
     """records -> features: :func:`featurize_batch` over each block of
     the dataset (the linkage pipeline builds its features with plain
-    tasks instead, pipelines/linkage.py ``featurize_input``)."""
+    tasks instead, pipelines/linkage.py ``featurize_blocks``)."""
     return ds.map_batches(
         lambda b: featurize_batch(b, cfg.blocking, cfg.scoring.embed_dim, cfg.scoring.embed_kgram),
         batch_format="pyarrow",
@@ -328,7 +328,7 @@ def bucket_pairs(
 
     ``coalesce=False`` skips the pre-shuffle repartition when the caller
     already sized the blocks to ``shuffle_partitions()`` (e.g. the
-    feature blocks of pipelines/linkage.py ``featurize_input``) — each
+    feature blocks of pipelines/linkage.py ``featurize_blocks``) — each
     repartition is a full AllToAll barrier, and the round-5 profile
     showed the pair stage dominated by exchange coordination, not CPU."""
     from ..util import shuffle_partitions

@@ -204,23 +204,6 @@ def connected_components(
     )
 
 
-# worker-process-local cache for a broadcast object (single entry; a new
-# ref replaces the previous run's pins) — same pattern as
-# scoring._VIEWS_CACHE: every task of one stage reuses the value its
-# worker already fetched instead of re-entering plasma per batch.
-_BROADCAST_CACHE: dict = {}
-
-
-def cached_get(ref):
-    key = ref.hex()
-    hit = _BROADCAST_CACHE.get(key)
-    if hit is None:
-        hit = ray.get(ref)
-        _BROADCAST_CACHE.clear()
-        _BROADCAST_CACHE[key] = hit
-    return hit
-
-
 def _assemble_labels(*parts: pa.Table) -> tuple[np.ndarray, np.ndarray]:
     """(worker task) label blocks -> sorted lookup arrays (ids, cluster ids)."""
     if not parts:

@@ -230,8 +230,8 @@ def score_pairs(
 # it inside the band-major id-range tasks (broadcast_scorer as
 # blocking.band_major_pairs' ``finish``); above the threshold it runs the
 # partitioned Dataset.join cascade above (the 10^12-row scale path).
-# score_pairs_broadcast and score_pairs_auto score a separate pair
-# dataset; only perfbench's traced mode calls them.
+# score_pairs_auto scores a separate pair dataset; only perfbench's
+# traced mode calls it.
 # ---------------------------------------------------------------------------
 
 
@@ -251,7 +251,7 @@ class _BlockViews:
 
     sig/emb are numpy VIEWS over the plasma-backed Arrow buffers, one per
     chunk, so one per block for the blocks of pipelines/linkage.py
-    ``featurize_input`` (every worker on a node shares ONE copy of the
+    ``featurize_blocks`` (every worker on a node shares ONE copy of the
     payload; combining chunks would copy the table per worker, see
     blocking.binary_matrix); an id is found through one argsort of the
     concatenated record_ids and gathered with segmented fancy indexing.
@@ -366,39 +366,16 @@ def _score_over_views(block_refs: tuple, scoring: ScoringConfig, pairs: pa.Table
 def broadcast_scorer(features: "ray.data.Dataset", scoring: ScoringConfig):
     """pa.Table of pairs -> scored pairs, over views of ``features``'
     materialized blocks: the ``finish`` of blocking.band_major_pairs, and
-    the batch fn of :func:`score_pairs_broadcast`."""
-    return functools.partial(_score_over_views, tuple(features.to_arrow_refs()), scoring)
-
-
-def score_pairs_broadcast(
-    pairs: "ray.data.Dataset",
-    features: "ray.data.Dataset",
-    scoring: ScoringConfig,
-    fan_out: bool = True,
-) -> "ray.data.Dataset":
-    """pairs -> scored pairs, one task per pair block, over views of the
-    materialized ``features`` (:func:`broadcast_scorer`).
+    the batch fn of :func:`score_pairs_auto`'s broadcast branch.
 
     STATELESS TASKS, not an actor pool.  Round-5 profile (sf0.1): the
     actor-pool form spent 10-16 s of WALL at every cpu count on fresh
     actor processes and per-actor state builds; tasks run on the
     prestarted, already-warm Ray workers and rebuild the scorer state at
-    most ONCE per worker process (_VIEWS_CACHE).  One task per block:
-    bundling blocks up to a batch size left a stage of a few large
-    tasks on 2-3 of 4 cores.  ``fan_out`` repartitions the pairs to
-    ~3x cluster_cpus blocks first (an AllToAll barrier), for pair
-    blocks read back from a committed stage."""
-    from ..util import cluster_cpus
-
-    if fan_out:
-        pairs = pairs.repartition(max(2, cluster_cpus()) * 3)
-    return pairs.map_batches(
-        broadcast_scorer(features, scoring),
-        batch_format="pyarrow",
-        batch_size=None,
-        zero_copy_batch=True,
-        **_gpu_args(scoring),
-    )
+    most ONCE per worker process (_VIEWS_CACHE).  One task per pair
+    block: bundling blocks up to a batch size left a stage of a few
+    large tasks on 2-3 of 4 cores."""
+    return functools.partial(_score_over_views, tuple(features.to_arrow_refs()), scoring)
 
 
 def score_pairs_auto(
@@ -411,8 +388,21 @@ def score_pairs_auto(
 ) -> "ray.data.Dataset":
     """Join-strategy selection: broadcast when the feature side is small
     (features is materialized by the stage checkpointer, so count() is a
-    metadata read), partitioned cascade otherwise."""
-    n = features.count()
-    if n <= scoring.broadcast_limit_rows:
-        return score_pairs_broadcast(pairs, features, scoring, fan_out=fan_out)
-    return score_pairs(pairs, features, scoring, blocking, num_partitions)
+    metadata read), partitioned cascade otherwise.  The broadcast branch
+    maps :func:`broadcast_scorer` over the pair blocks, one task each;
+    ``fan_out`` repartitions the pairs to ~3x cluster_cpus blocks first
+    (an AllToAll barrier), for pair blocks read back from a committed
+    stage."""
+    from ..util import cluster_cpus
+
+    if features.count() > scoring.broadcast_limit_rows:
+        return score_pairs(pairs, features, scoring, blocking, num_partitions)
+    if fan_out:
+        pairs = pairs.repartition(max(2, cluster_cpus()) * 3)
+    return pairs.map_batches(
+        broadcast_scorer(features, scoring),
+        batch_format="pyarrow",
+        batch_size=None,
+        zero_copy_batch=True,
+        **_gpu_args(scoring),
+    )

@@ -3,25 +3,32 @@
 Recast of the reference's idempotence contract — the shell loop's
 "skip stage if its dir is non-empty"
 (``src/scripts/train/all_langs_no_slurm.sh:47-110``) — made atomic and
-verifiable: each stage writes to a temp dir that a rename publishes,
-and the manifest, written last, is the commit point: it records the
-input fingerprint, per-file (partition) row counts and any side counts
-of the stage (the ``scored`` stage's band accounting).  A rerun with the same
-input fingerprint reads the stage back from Parquet instead of
-recomputing; a torn run (no manifest) is discarded and recomputed.
+verifiable.  A stage is made of parts (:meth:`StageCheckpointer.through`):
+the features stage has one per input share of
+``stages.ingest.split_input``, every other stage one.  Each part is
+written to a temp dir that a rename publishes as ``data/part-{pid}``, and
+a journal line (``journal.jsonl``, fsynced) commits it.  The manifest,
+written last, commits the stage: it records the input fingerprint,
+per-part row counts and any side counts of the stage (the ``scored``
+stage's band accounting).  A rerun with the same input fingerprint reads
+the stage back from Parquet instead of recomputing it.
+
+Partition-level resume (SURVEY.md §3.3 "Ray recast of the lifecycle"): a
+torn run (no manifest) keeps the parts its journal lists under the same
+fingerprint and the same part, so a partial stage resumes at its first
+missing part, and a rerun under another share plan rebuilds instead of
+mixing two.  The manifest lists the parts individually so an external
+scheduler can verify / re-ship any subset.
 
 Writes and reads are plain whole-CPU Ray tasks over block refs, not
-Ray Data executions: a stage is written as one Parquet file per block
-with rows (:func:`start_commit`; a stage without rows keeps one
-schema-only file, so it restores with its columns), and read back by P =
+Ray Data executions: a part is written as one Parquet file per block
+with rows (:func:`start_commit` commits a whole stage the same way, for
+``save_result_checkpoint``; a stage without rows keeps one schema-only
+file, so it restores with its columns), and a stage is read back by P =
 ``shuffle_partitions()`` tasks over the shares of
 ``stages.ingest.split_input``, one block with one chunk per column each
 (:func:`stage_blocks`).  Any file names are read, so a stage written by
 Ray Data's ``write_parquet`` restores the same.
-
-Partition-level resume: output files are the stage's partitions; the
-manifest lists them individually so an external scheduler can verify /
-re-ship any subset.  (SURVEY.md §3.3 "Ray recast of the lifecycle".)
 """
 
 from __future__ import annotations
@@ -74,7 +81,11 @@ def _input_fingerprint(paths: list[str]) -> str:
 # v5: pair stages hold only (id_a, id_b); their band counts live in the
 #     stage manifest's "counts".
 # v6: no pair stage; the scored stage's manifest holds the band counts.
-FORMAT_VERSION = 6
+# v7: every checkpointed stage is journaled parts under data/part-{pid}/,
+#     the features parts being the input shares of split_input (v6 split a
+#     several-file input into up to 16 file groups and left one-file
+#     inputs unjournaled); a journal record holds its part.
+FORMAT_VERSION = 7
 
 
 def _write_block(path: str, t: pa.Table) -> int:
@@ -128,20 +139,34 @@ def start_commit(stage_dir: Path, ds: "ray.data.Dataset") -> Callable[..., dict]
     ) -> dict:
         partitions = wait()
         os.rename(tmp, stage_dir / "data")
-        manifest = {
-            "stage": stage_dir.name,
-            "input_fingerprint": fingerprint,
-            "row_count": sum(p["rows"] for p in partitions),
-            "partitions": partitions,
-            "wall_sec": round(time.time() - (started or t0), 3),
-            **(meta or {}),
-        }
-        if counts is not None:
-            manifest["counts"] = counts()
-        (stage_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
-        return manifest
+        return _write_manifest(
+            stage_dir, fingerprint, partitions, started or t0, counts() if counts else None, meta
+        )
 
     return finish
+
+
+def _write_manifest(
+    stage_dir: Path,
+    fingerprint: str,
+    partitions: list[dict],
+    started: float,
+    counts: dict | None = None,
+    meta: dict | None = None,
+) -> dict:
+    """Write the manifest that commits the stage at ``stage_dir`` -> it."""
+    manifest = {
+        "stage": stage_dir.name,
+        "input_fingerprint": fingerprint,
+        "row_count": sum(p["rows"] for p in partitions),
+        "partitions": partitions,
+        "wall_sec": round(time.time() - started, 3),
+        **(meta or {}),
+    }
+    if counts is not None:
+        manifest["counts"] = counts
+    (stage_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    return manifest
 
 
 def _read_share(pieces: list) -> pa.Table:
@@ -161,8 +186,8 @@ def stage_blocks(data_dir: Path) -> list:
 
 
 class StageCheckpointer:
-    """``through(name, builder)``: run-or-restore a stage dataset.
-    Every manifest it writes also holds the keys of ``meta``."""
+    """``through(name, build, parts)``: run-or-restore a stage made of
+    parts.  Every manifest it writes also holds the keys of ``meta``."""
 
     def __init__(
         self,
@@ -188,20 +213,57 @@ class StageCheckpointer:
     def through(
         self,
         name: str,
-        builder: Callable[[], "ray.data.Dataset"],
+        build: Callable[[Any], "ray.data.Dataset | list"],
+        parts: list = (None,),
         counts: Callable[[], dict] | None = None,
     ) -> "ray.data.Dataset":
-        """Run-or-restore a stage.  ``counts()``, read once the stage is
-        built, is kept with it and lands in ``self.counts[name]`` on both
-        build and restore.  A built stage's ``wall_sec`` covers the
-        builder call and, with a checkpoint dir, the write."""
+        """Run-or-restore the stage ``name`` made of ``parts``, with
+        PER-PART resume (SURVEY.md §3.3 "a partial stage resumes at its
+        first missing partition"; the reference's per-shard idempotence,
+        ``all_langs_no_slurm.sh:47-110``) -> the materialized stage.
+
+        ``build(part)`` submits one part's build and returns its blocks:
+        a Dataset (a one-part stage) or block refs.  It must be
+        deterministic per part (record ids are content fingerprints, not
+        sequence numbers).  Every missing part is submitted, and with a
+        checkpoint dir its writes too, before the first one commits, so
+        the parts build side by side.  Each part then commits in part
+        order: written to a temp dir, renamed to ``part-{pid}``, and a
+        journal line appended and fsynced.  A torn run keeps each
+        journaled part whose record has this run's fingerprint and part,
+        and rebuilds the rest; the manifest, written last, commits the
+        stage, and a rerun under the same fingerprint restores it.  A
+        build returns the blocks it built; only a stage restored in whole
+        or in part is read from its files.
+
+        ``counts()``, read once the stage's writes are done, is kept with
+        it (journal and manifest) and lands in ``self.counts[name]`` on
+        build and restore; a stage with counts resumes all its parts or
+        none, so they always cover the whole build.  A stage's
+        ``wall_sec`` covers the build and, with a checkpoint dir, the
+        write."""
         t0 = time.time()
-        if self.root is None:
-            # No checkpoint dir: stage boundary = object-store materialization
-            # (consumed by multiple downstream branches / iterative stages;
-            # leaving it lazy would re-execute the whole upstream per branch).
-            # With a checkpoint dir the committed Parquet is the boundary too.
-            ds = builder().materialize()
+        stage_dir = self.root / name if self.root else None
+        manifest_path = stage_dir / "manifest.json" if stage_dir else None
+        if manifest_path and manifest_path.exists():
+            manifest = json.loads(manifest_path.read_text())
+            if manifest.get("input_fingerprint") == self.fingerprint:
+                self.stats[name] = {"restored": True, "rows": manifest["row_count"]}
+                if counts is not None:
+                    self.counts[name] = manifest["counts"]
+                return dataset_of(stage_blocks(stage_dir / "data"))
+            shutil.rmtree(stage_dir)  # committed for another input or config
+        done = self._journaled(stage_dir, parts, counts is not None) if stage_dir else {}
+        built = {pid: build(p) for pid, p in enumerate(parts) if pid not in done}
+        ds = None
+        if len(built) == 1 and isinstance(built.get(0), ray.data.Dataset):
+            # the stage boundary: consumed by several downstream branches
+            # and iterative stages, a lazy stage would re-execute upstream
+            ds = built[0].materialize()
+            built[0] = ds.to_arrow_refs()
+        blocks = [b for refs in built.values() for b in refs]
+        if stage_dir is None:
+            ds = dataset_of(blocks) if ds is None else ds
             self.stats[name] = {
                 "restored": False,
                 "rows": ds.count(),
@@ -210,128 +272,80 @@ class StageCheckpointer:
             if counts is not None:
                 self.counts[name] = counts()
             return ds
-        stage_dir = self.root / name
-        manifest_path = stage_dir / "manifest.json"
-        manifest = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
-        if manifest.get("input_fingerprint") == self.fingerprint:
-            self.stats[name] = {"restored": True, "rows": manifest["row_count"]}
-            ds = dataset_of(stage_blocks(stage_dir / "data"))
-        else:
-            # no checkpoint, a torn one, or a stale one for different input: rebuild
-            shutil.rmtree(stage_dir, ignore_errors=True)
-            ds = builder().materialize()
-            manifest = start_commit(stage_dir, ds)(self.fingerprint, counts, self.meta, t0)
-            self.stats[name] = {
-                "restored": False,
-                "rows": manifest["row_count"],
-                "wall_sec": manifest["wall_sec"],
-            }
-        if counts is not None:
-            self.counts[name] = manifest["counts"]
-        return ds
 
-    def through_partitioned(
-        self,
-        name: str,
-        partition_tokens: list[Any],
-        build_partition: Callable[[Any], list],
-    ) -> "ray.data.Dataset":
-        """Run-or-restore a stage built from independent partitions, with
-        PER-PARTITION resume (SURVEY.md §3.3 "a partial stage resumes at
-        its first missing partition"; the reference's per-shard
-        idempotence, ``all_langs_no_slurm.sh:47-110`` + skip-if-nonempty
-        ``savers/npz.py:38-70``).
-
-        ``build_partition(token)`` submits a partition's build and
-        returns its block refs; it must be deterministic per token (the
-        flagship qualifies: record ids are content fingerprints, not
-        sequence numbers).  Every missing partition is submitted, and
-        its writes too, before the first one commits, so the partitions
-        build side by side.  Each partition commits independently, in
-        partition order — data written to a temp dir, renamed to
-        ``part-{pid}``, then a journal line appended; the journal (not
-        the final manifest) is the per-partition commit point.  A torn
-        run keeps every journaled partition and recomputes only the
-        missing remainder.  The stage is read back from its files.
-        """
-        if self.root is None:
-            # no checkpoint dir: same semantics as a single fused stage
-            return self.through(
-                name,
-                lambda: ray.data.from_arrow_refs(
-                    [b for tok in partition_tokens for b in build_partition(tok)]
-                ),
-            )
-
-        stage_dir = self.root / name
+        # the writes are submitted before anything waits on the blocks, so
+        # each block is written as soon as it is built
         data_dir = stage_dir / "data"
-        manifest_path = stage_dir / "manifest.json"
-        journal_path = stage_dir / "journal.jsonl"
-        if manifest_path.exists():
-            manifest = json.loads(manifest_path.read_text())
-            if manifest.get("input_fingerprint") == self.fingerprint:
-                self.stats[name] = {"restored": True, "rows": manifest["row_count"]}
-                return dataset_of(stage_blocks(data_dir))
-            shutil.rmtree(stage_dir, ignore_errors=True)
-
-        # torn (or fresh) run: the journal lists committed partitions
-        done: dict[int, dict] = {}
-        if journal_path.exists():
-            for line in journal_path.read_text().splitlines():
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                if rec.get("fingerprint") != self.fingerprint:
-                    # journal from a different input/config: discard all
-                    shutil.rmtree(stage_dir, ignore_errors=True)
-                    done = {}
-                    break
-                if (data_dir / rec["part"]).is_dir():
-                    done[rec["pid"]] = rec
-        data_dir.mkdir(parents=True, exist_ok=True)
-        t0 = time.time()
-        n_restored = len(done)
-        writes = []
-        for pid, token in enumerate(partition_tokens):
-            if pid in done:
-                continue  # committed by a previous (torn) run: skip
-            part_tmp = data_dir / f".tmp-part-{pid:05d}"
-            shutil.rmtree(part_tmp, ignore_errors=True)
-            shutil.rmtree(data_dir / f"part-{pid:05d}", ignore_errors=True)
-            writes.append((pid, part_tmp, _write_blocks(part_tmp, build_partition(token))))
-        with open(journal_path, "a") as journal:
-            for pid, part_tmp, wait in writes:
+        writes = {
+            pid: _write_blocks(data_dir / f".tmp-part-{pid:05d}", refs) for pid, refs in built.items()
+        }
+        with open(stage_dir / "journal.jsonl", "a") as journal:
+            for pid, wait in writes.items():
                 rows = sum(p["rows"] for p in wait())
-                part_name = f"part-{pid:05d}"
-                os.rename(part_tmp, data_dir / part_name)
+                os.rename(data_dir / f".tmp-part-{pid:05d}", data_dir / f"part-{pid:05d}")
                 rec = {
                     "pid": pid,
-                    "part": part_name,
+                    "part": f"part-{pid:05d}",
                     "rows": rows,
                     "fingerprint": self.fingerprint,
+                    "token": _token(parts[pid]),
                 }
+                if counts is not None:
+                    rec["counts"] = counts()
                 journal.write(json.dumps(rec, sort_keys=True) + "\n")
                 journal.flush()
                 os.fsync(journal.fileno())
                 done[pid] = rec
-        total = sum(done[pid]["rows"] for pid in range(len(partition_tokens)))
-        manifest = {
-            "stage": name,
-            "input_fingerprint": self.fingerprint,
-            "row_count": total,
-            "partitions": [
-                {"file": done[pid]["part"], "rows": done[pid]["rows"], "done": True}
-                for pid in range(len(partition_tokens))
-            ],
-            "wall_sec": round(time.time() - t0, 3),
-            **self.meta,
-        }
-        manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+        manifest = _write_manifest(
+            stage_dir,
+            self.fingerprint,
+            [{"file": done[p]["part"], "rows": done[p]["rows"], "done": True} for p in range(len(parts))],
+            t0,
+            done[len(parts) - 1].get("counts"),
+            self.meta,
+        )
         self.stats[name] = {
-            "restored": False,
-            "rows": total,
+            "restored": not built,
+            "rows": manifest["row_count"],
             "wall_sec": manifest["wall_sec"],
-            "partitions_restored": n_restored,
-            "partitions_built": len(partition_tokens) - n_restored,
+            "partitions_restored": len(parts) - len(built),
+            "partitions_built": len(built),
         }
-        return dataset_of(stage_blocks(data_dir))
+        if counts is not None:
+            self.counts[name] = manifest["counts"]
+        if ds is None:
+            ds = dataset_of(blocks if len(built) == len(parts) else stage_blocks(data_dir))
+        return ds
+
+    def _journaled(self, stage_dir: Path, parts: list, whole: bool) -> dict[int, dict]:
+        """The journal records of the parts of ``stage_dir`` that a torn
+        run committed under this fingerprint and for the same part (the
+        same input share: a different P rebuilds) -> {pid: record}; with
+        ``whole``, all of them or none.  Every other entry of the data
+        dir is deleted."""
+        data_dir = stage_dir / "data"
+        journal = stage_dir / "journal.jsonl"
+        done: dict[int, dict] = {}
+        for line in journal.read_text().splitlines() if journal.exists() else []:
+            rec = json.loads(line)
+            pid = rec["pid"]
+            if (
+                pid < len(parts)
+                and rec["fingerprint"] == self.fingerprint
+                and rec["token"] == _token(parts[pid])
+                and (data_dir / rec["part"]).is_dir()
+            ):
+                done[pid] = rec
+        if whole and len(done) < len(parts):
+            done = {}
+        data_dir.mkdir(parents=True, exist_ok=True)
+        keep = {rec["part"] for rec in done.values()}
+        for entry in data_dir.iterdir():
+            if entry.name not in keep:
+                shutil.rmtree(entry) if entry.is_dir() else entry.unlink()
+        return done
+
+
+def _token(part: Any) -> Any:
+    """A part as its journal records it (tuples become lists)."""
+    return json.loads(json.dumps(part))

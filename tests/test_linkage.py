@@ -749,12 +749,12 @@ def _assert_one_chunk_blocks(ds) -> None:
 
 @pytest.mark.usefixtures("ray_session")
 def test_feature_blocks_hold_one_chunk_per_column(tmp_path):
-    """Feature blocks are contiguous: streaming run_linkage, a
-    checkpointed build, a partitioned checkpoint read back and an
-    incremental delta all give blocks with one Arrow chunk per column,
-    so the band-range tasks and the scorer read sig/emb through
-    zero-copy views.  A 2,400-row corpus puts 300 rows in each of the 8
-    blocks, more than one 128-row featurize slice."""
+    """Feature blocks are contiguous: streaming run_linkage, checkpointed
+    builds, a checkpoint read back and an incremental delta all give
+    blocks with one Arrow chunk per column, so the band-range tasks and
+    the scorer read sig/emb through zero-copy views.  A 2,400-row corpus
+    puts 300 rows in each of the 8 blocks, more than one 128-row
+    featurize slice."""
     from mel_ray.pipelines.linkage import run_linkage, run_linkage_incremental
     from mel_ray.synth import generate_corpus
     from mel_ray.util import shuffle_partitions
@@ -763,19 +763,19 @@ def test_feature_blocks_hold_one_chunk_per_column(tmp_path):
     streaming = run_linkage(files)
     assert streaming.features.num_blocks() == shuffle_partitions()
     _assert_one_chunk_blocks(streaming.features)
-    # one input file: one committed features stage of P files, read
-    # back one block per file
+    # one input file: the blocks built for its P row-range shares
     one = tmp_path / "one.parquet"
     pq.write_table(pq.read_table(files), one)
     checkpointed = run_linkage(str(one), LinkageConfig(checkpoint_dir=str(tmp_path / "ck")))
     _assert_one_chunk_blocks(checkpointed.features)
-    # several input files: a partitioned features stage of more files
-    # than blocks, read back by the build and by a restoring rerun
+    # several input files: one committed part (and file) per input share,
+    # built, then read back by a restoring rerun
     cfg = LinkageConfig(checkpoint_dir=str(tmp_path / "ck_parts"))
     built = run_linkage(files, cfg)
-    assert built.stats["features"]["partitions_built"] == len(files) > 1
+    assert len(files) > 1
+    assert built.stats["features"]["partitions_built"] == shuffle_partitions()
     written = list((tmp_path / "ck_parts" / "features" / "data").rglob("*.parquet"))
-    assert len(written) > shuffle_partitions()
+    assert len(written) == shuffle_partitions()
     restored = run_linkage(files, cfg)
     assert restored.stats["features"]["restored"]
     for res in (built, restored):
@@ -825,16 +825,16 @@ def _write_inputs(tiny_corpus, root, case: str):
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("case", ["fewer_files", "more_files", "file_list"])
 def test_featurize_input_split_is_exact(tiny_corpus, tmp_path, case):
-    """featurize_input's P tasks read every input row exactly once:
+    """featurize_blocks' P tasks read every input row exactly once:
     the same records and byte-equal features as the Ray Data read ->
     ingest -> featurize path, in P metadata-free blocks (on that block
     count the bucketed plan skips its coalescing repartition)."""
     import ray
 
-    from mel_ray.pipelines.linkage import featurize_input
+    from mel_ray.pipelines.linkage import featurize_blocks
     from mel_ray.stages import blocking as B
     from mel_ray.stages import ingest as I
-    from mel_ray.util import shuffle_partitions
+    from mel_ray.util import dataset_of, shuffle_partitions
 
     cfg = LinkageConfig()
     path, files = _write_inputs(tiny_corpus, tmp_path, case)
@@ -844,7 +844,7 @@ def test_featurize_input_split_is_exact(tiny_corpus, tmp_path, case):
         assert len(files) > shuffle_partitions()
     assert any(pq.read_schema(f).metadata for f in files)
 
-    got = featurize_input(path, cfg)
+    got = dataset_of(featurize_blocks(path, cfg))
     assert got.num_blocks() == shuffle_partitions()
     blocks = ray.get(got.to_arrow_refs())
     assert all(t.schema.metadata is None for t in blocks)
@@ -861,6 +861,6 @@ def test_featurize_input_split_is_exact(tiny_corpus, tmp_path, case):
 
     if case != "fewer_files":
         # a zero-row delta: P typed empty blocks
-        empty = featurize_input([files[-1] if case == "more_files" else files[2]], cfg)
+        empty = dataset_of(featurize_blocks([files[-1] if case == "more_files" else files[2]], cfg))
         assert empty.count() == 0 and empty.num_blocks() == shuffle_partitions()
         assert empty.schema().names == got_t.column_names

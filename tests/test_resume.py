@@ -63,29 +63,30 @@ def test_torn_stage_is_recomputed(tmp_path, tiny_corpus):
     assert counts == first.stats["blocking_bands"]
 
 
-@pytest.mark.usefixtures("ray_session")
-def test_partitioned_stage_resumes_at_first_missing_partition(tmp_path, tiny_corpus):
-    """Kill-mid-stage: completed feature partitions survive a torn run
+def _assert_resumes_at_first_missing_part(corpus, ckpt) -> None:
+    """Kill-mid-stage: completed feature parts survive a torn run
     untouched (byte-identical mtimes); only the missing remainder is
     recomputed (SURVEY.md §3.3; reference per-shard idempotence,
     all_langs_no_slurm.sh:47-110)."""
     import json as _json
+    import pathlib
     import shutil
 
     from mel_ray.config import LinkageConfig
     from mel_ray.pipelines.linkage import run_linkage
+    from mel_ray.util import shuffle_partitions
 
-    ckpt = tmp_path / "ckpt"
     cfg = LinkageConfig(checkpoint_dir=str(ckpt))
-    res1 = run_linkage(str(tiny_corpus / "files"), cfg)
+    res1 = run_linkage(corpus, cfg)
     n1 = res1.clusters.count()
     feat = ckpt / "features"
     parts = sorted(p for p in (feat / "data").iterdir() if p.name.startswith("part-"))
-    assert len(parts) >= 2, "tiny corpus should shard into multiple partitions"
+    # one part per input share
+    assert len(parts) == shuffle_partitions()
     assert res1.stats["features"]["partitions_built"] == len(parts)
 
     # simulate a crash mid-featurize: manifest not yet written, the last
-    # partition's rename+journal commit never happened
+    # part's rename+journal commit never happened
     (feat / "manifest.json").unlink()
     journal = feat / "journal.jsonl"
     lines = journal.read_text().splitlines()
@@ -103,17 +104,130 @@ def test_partitioned_stage_resumes_at_first_missing_partition(tmp_path, tiny_cor
     for name in ("scored", "components", "clusters"):
         shutil.rmtree(ckpt / name, ignore_errors=True)
 
-    res2 = run_linkage(str(tiny_corpus / "files"), cfg)
+    res2 = run_linkage(corpus, cfg)
     assert not res2.stats["features"]["restored"]
     assert res2.stats["features"]["partitions_restored"] == len(parts) - 1
     assert res2.stats["features"]["partitions_built"] == 1
     assert res2.stats["features"]["rows"] == res1.stats["features"]["rows"]
     assert res2.clusters.count() == n1
-    # completed partitions were NOT rewritten
+    # completed parts were NOT rewritten
     for path, mtime in kept_mtimes.items():
-        import pathlib
-
         assert pathlib.Path(path).stat().st_mtime_ns == mtime, path
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_partitioned_stage_resumes_at_first_missing_partition(tmp_path, tiny_corpus):
+    """A several-file input resumes at its first missing features part."""
+    _assert_resumes_at_first_missing_part(str(tiny_corpus / "files"), tmp_path / "ckpt")
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_one_file_input_resumes_at_first_missing_part(tmp_path, tiny_corpus):
+    """A one-file input is split into row-range shares, and its features
+    stage resumes at its first missing share like a several-file one."""
+    import pyarrow.parquet as pq
+
+    one = tmp_path / "one.parquet"
+    pq.write_table(pq.read_table(tiny_corpus / "files"), one)
+    _assert_resumes_at_first_missing_part(str(one), tmp_path / "ckpt")
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_resume_under_another_share_plan_rebuilds_parts(tmp_path, tiny_corpus, monkeypatch):
+    """A features stage torn under one shuffle_partitions() and resumed
+    under another keeps none of its parts, since their shares differ: it
+    rebuilds every part of the new plan, leaves no part of the old one,
+    and links to the same clusters."""
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    import mel_ray.pipelines.linkage as L
+    from mel_ray.config import LinkageConfig
+    from mel_ray.util import shuffle_partitions
+
+    ckpt = tmp_path / "ckpt"
+    cfg = LinkageConfig(checkpoint_dir=str(ckpt))
+    corpus = str(tiny_corpus / "files")
+    first = L.run_linkage(corpus, cfg)
+    feat = ckpt / "features"
+    (feat / "manifest.json").unlink()
+    for name in ("scored", "components", "clusters"):
+        shutil.rmtree(ckpt / name)
+
+    p = shuffle_partitions() // 2
+    monkeypatch.setattr(L, "shuffle_partitions", lambda: p)
+    res = L.run_linkage(corpus, cfg)
+    assert res.stats["features"]["partitions_built"] == p
+    assert res.stats["features"]["partitions_restored"] == 0
+    assert sorted(d.name for d in (feat / "data").iterdir()) == [f"part-{i:05d}" for i in range(p)]
+    assert pq.read_table(feat / "data").num_rows == first.stats["features"]["rows"]
+    cols = ["record_id", "cluster_id"]
+    want = first.clusters.to_pandas()[cols].sort_values("record_id").reset_index(drop=True)
+    got = res.clusters.to_pandas()[cols].sort_values("record_id").reset_index(drop=True)
+    assert len(want) > 0 and got.equals(want)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_scored_part_without_manifest_reports_its_band_counts(tmp_path, tiny_corpus):
+    """A scored stage torn after its part was journaled but before its
+    manifest was written is restored from the journal, and reports the
+    band counts its journal recorded: the first run's."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from mel_ray.config import LinkageConfig
+    from mel_ray.pipelines.linkage import run_linkage
+
+    # a run of 100 exact copies salts every band
+    t = pq.read_table(tiny_corpus / "files")
+    copies = t.slice(0, 100).take(pa.array([0] * 100))
+    copies = copies.set_column(
+        copies.schema.get_field_index("path"),
+        "path",
+        pa.array([f"vendor{i:03d}/copied.py" for i in range(100)]),
+    )
+    corpus = tmp_path / "planted.parquet"
+    pq.write_table(pa.concat_tables([t, copies]), corpus)
+    ckpt = tmp_path / "ckpt"
+    cfg = LinkageConfig(checkpoint_dir=str(ckpt))
+    first = run_linkage(str(corpus), cfg)
+    assert first.stats["blocking_bands"]["salted_bands"] >= cfg.blocking.num_bands
+
+    (ckpt / "scored" / "manifest.json").unlink()
+    res = run_linkage(str(corpus), cfg)
+    assert res.stats["scored"]["restored"]
+    assert res.stats["scored"]["partitions_restored"] == 1
+    assert res.stats["blocking_bands"] == first.stats["blocking_bands"]
+    manifest = json.loads((ckpt / "scored" / "manifest.json").read_text())
+    assert manifest["counts"] == first.stats["blocking_bands"]
+    assert res.scored_pairs.count() == first.scored_pairs.count()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_fresh_checkpointed_build_reads_no_stage_back(tmp_path, tiny_corpus, monkeypatch):
+    """A fresh checkpointed build returns the blocks it built: it reads
+    none of the stages it commits back from disk.  A rerun restores
+    them, equal."""
+    import mel_ray.state.manifest as M
+    from mel_ray.config import LinkageConfig
+    from mel_ray.pipelines.linkage import run_linkage
+
+    def refuse(data_dir):
+        raise AssertionError(f"{data_dir} read back during a fresh build")
+
+    cfg = LinkageConfig(checkpoint_dir=str(tmp_path / "ckpt"))
+    monkeypatch.setattr(M, "stage_blocks", refuse)
+    built = run_linkage(str(tiny_corpus / "files"), cfg)
+    monkeypatch.undo()
+    restored = run_linkage(str(tiny_corpus / "files"), cfg)
+    stages = ("features", "scored", "components", "clusters")
+    assert not any(built.stats[s]["restored"] for s in stages)
+    assert all(restored.stats[s]["restored"] for s in stages)
+    cols = ["record_id", "cluster_id"]
+    want = built.clusters.to_pandas()[cols].sort_values("record_id").reset_index(drop=True)
+    got = restored.clusters.to_pandas()[cols].sort_values("record_id").reset_index(drop=True)
+    assert len(want) > 0 and got.equals(want)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -140,9 +254,9 @@ def test_empty_stage_keeps_its_schema(tmp_path):
     assert back.schema().names == list(cols)
 
     ckpt = StageCheckpointer(str(tmp_path / "ck"), fingerprint_inputs=["no-input"])
-    built = ckpt.through("scored", lambda: scored)
+    built = ckpt.through("scored", lambda _: scored)
     restored = StageCheckpointer(str(tmp_path / "ck"), fingerprint_inputs=["no-input"])
-    again = restored.through("scored", lambda: pytest.fail("a committed stage is rebuilt"))
+    again = restored.through("scored", lambda _: pytest.fail("a committed stage is rebuilt"))
     assert not ckpt.stats["scored"]["restored"] and restored.stats["scored"]["restored"]
     for ds in (built, again):
         assert ds.count() == 0
@@ -160,7 +274,7 @@ def test_stage_wall_covers_the_builder(tmp_path):
 
     from mel_ray.state.manifest import StageCheckpointer
 
-    def slow_builder():
+    def slow_builder(_part):
         time.sleep(0.5)
         return ray.data.from_arrow(pa.table({"x": [1, 2, 3]}))
 

@@ -5,7 +5,8 @@ queues on the workers the first run started instead of making the raylet
 start new ones, and it cannot deadlock at two CPUs: a task that blocks in
 ``ray.get`` gives up its CPU.  The check runs in a subprocess with its
 own two-CPU Ray instance, under a timeout, and counts the raylet's child
-processes by reading ``/proc/<pid>/stat``.  It also counts the feature
+processes by reading ``/proc/<pid>/stat``, over warm streaming,
+incremental and checkpointed calls.  It also counts the feature
 tasks (read, ingest and featurize) each warm call ran, and the CPUs they
 requested, from the task events Ray records in its GCS.
 """
@@ -40,6 +41,7 @@ ray.init(num_cpus=2, include_dashboard=False, logging_level="ERROR",
 import ray.data
 
 ray.data.DataContext.get_current().enable_progress_bars = False
+from mel_ray.config import LinkageConfig
 from mel_ray.pipelines.linkage import (
     load_result_from_checkpoint, run_linkage, run_linkage_incremental,
     save_result_checkpoint,
@@ -126,9 +128,17 @@ base = load_result_from_checkpoint(ck)
 middle = feature_tasks()
 inc, inc_new = warm(lambda: run_linkage_incremental(base, delta_files).clusters.materialize())
 after = feature_tasks()
+# checkpointed builds, each into a new dir: the first one is cold for the
+# write tasks, the warm ones must queue them on the pool's workers too
+builds = iter(range(1 + ATTEMPTS))
+build = lambda: run_linkage(base_files, LinkageConfig(checkpoint_dir=f"{ck}-build{next(builds)}"))
+build()
+built, built_new = warm(build)
 print(json.dumps({
     "second_run_new_processes": second_new,
     "incremental_new_processes": inc_new,
+    "checkpointed_build_new_processes": built_new,
+    "checkpointed_build_restored": [v["restored"] for v in built.stats.values() if "restored" in v],
     "rows": [first_rows, second.clusters.count(), inc.count()],
     "feature_blocks": second.features.num_blocks(),
     "feature_tasks": [len(middle) - len(before), len(after) - len(middle)],
@@ -164,6 +174,10 @@ def test_warm_runs_start_no_new_processes_at_two_cpus(tiny_corpus, tmp_path):
     assert got["rows"][2] > got["rows"][1]
     assert got["second_run_new_processes"] == 0, got
     assert got["incremental_new_processes"] == 0, got
+    # a warm checkpointed build's write tasks (one per block of each
+    # committed part) start no new processes either
+    assert got["checkpointed_build_new_processes"] == 0, got
+    assert got["checkpointed_build_restored"] == [False] * 4, got
     # P feature tasks per warm call (P = shuffle_partitions() = 8 at two
     # CPUs; a warm call measured again runs them again), each on a whole CPU
     p = got["feature_blocks"]
