@@ -16,8 +16,9 @@ the stage back from Parquet instead of recomputing it.
 Partition-level resume (SURVEY.md §3.3 "Ray recast of the lifecycle"): a
 torn run (no manifest) keeps the parts its journal lists under the same
 fingerprint and the same part, so a partial stage resumes at its first
-missing part, and a rerun under another share plan rebuilds instead of
-mixing two.  The manifest lists the parts individually so an external
+missing part, and a rerun under another share plan or input rebuilds
+instead of mixing two.  The journal is then rewritten to hold only those
+parts, so no stale record outlives its part dir.  The manifest lists the parts individually so an external
 scheduler can verify / re-ship any subset.
 
 Writes and reads are plain whole-CPU Ray tasks over block refs, not
@@ -238,10 +239,11 @@ class StageCheckpointer:
 
         ``counts()``, read once the stage's writes are done, is kept with
         it (journal and manifest) and lands in ``self.counts[name]`` on
-        build and restore; a stage with counts resumes all its parts or
-        none, so they always cover the whole build.  A stage's
+        build and restore.  A stage with counts is one part, so the counts
+        its record holds always cover the whole build.  A stage's
         ``wall_sec`` covers the build and, with a checkpoint dir, the
         write."""
+        assert counts is None or len(parts) == 1, "a stage with counts is one part"
         t0 = time.time()
         stage_dir = self.root / name if self.root else None
         manifest_path = stage_dir / "manifest.json" if stage_dir else None
@@ -253,7 +255,7 @@ class StageCheckpointer:
                     self.counts[name] = manifest["counts"]
                 return dataset_of(stage_blocks(stage_dir / "data"))
             shutil.rmtree(stage_dir)  # committed for another input or config
-        done = self._journaled(stage_dir, parts, counts is not None) if stage_dir else {}
+        done = self._journaled(stage_dir, parts) if stage_dir else {}
         built = {pid: build(p) for pid, p in enumerate(parts) if pid not in done}
         ds = None
         if len(built) == 1 and isinstance(built.get(0), ray.data.Dataset):
@@ -301,7 +303,7 @@ class StageCheckpointer:
             self.fingerprint,
             [{"file": done[p]["part"], "rows": done[p]["rows"], "done": True} for p in range(len(parts))],
             t0,
-            done[len(parts) - 1].get("counts"),
+            done[0].get("counts"),
             self.meta,
         )
         self.stats[name] = {
@@ -317,12 +319,16 @@ class StageCheckpointer:
             ds = dataset_of(blocks if len(built) == len(parts) else stage_blocks(data_dir))
         return ds
 
-    def _journaled(self, stage_dir: Path, parts: list, whole: bool) -> dict[int, dict]:
+    def _journaled(self, stage_dir: Path, parts: list) -> dict[int, dict]:
         """The journal records of the parts of ``stage_dir`` that a torn
         run committed under this fingerprint and for the same part (the
-        same input share: a different P rebuilds) -> {pid: record}; with
-        ``whole``, all of them or none.  Every other entry of the data
-        dir is deleted."""
+        same input share: a different P rebuilds) -> {pid: record}.
+
+        The journal is rewritten (fsynced) to hold only these records
+        before any other entry of the data dir is deleted, so a record of
+        another fingerprint or share plan never outlives its part: a later
+        run that commits a part under the same name cannot be taken for
+        it."""
         data_dir = stage_dir / "data"
         journal = stage_dir / "journal.jsonl"
         done: dict[int, dict] = {}
@@ -336,9 +342,13 @@ class StageCheckpointer:
                 and (data_dir / rec["part"]).is_dir()
             ):
                 done[pid] = rec
-        if whole and len(done) < len(parts):
-            done = {}
         data_dir.mkdir(parents=True, exist_ok=True)
+        tmp = stage_dir / ".tmp-journal.jsonl"
+        with open(tmp, "w") as f:
+            f.writelines(json.dumps(done[pid], sort_keys=True) + "\n" for pid in sorted(done))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, journal)
         keep = {rec["part"] for rec in done.values()}
         for entry in data_dir.iterdir():
             if entry.name not in keep:

@@ -132,40 +132,116 @@ def test_one_file_input_resumes_at_first_missing_part(tmp_path, tiny_corpus):
     _assert_resumes_at_first_missing_part(str(one), tmp_path / "ckpt")
 
 
+def _cluster_table(res):
+    cols = ["record_id", "cluster_id"]
+    return res.clusters.to_pandas()[cols].sort_values("record_id").reset_index(drop=True)
+
+
+def _assert_features_built_afresh(res, ckpt, want) -> None:
+    """``res`` rebuilt every features part of the current share plan from
+    its own input, and links to the clusters of ``want`` (a run of the
+    same input): no part of another plan or input was reused."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from mel_ray.pipelines.linkage import shuffle_partitions
+
+    p = shuffle_partitions()
+    data = ckpt / "features" / "data"
+    assert res.stats["features"]["partitions_built"] == p
+    assert res.stats["features"]["partitions_restored"] == 0
+    assert sorted(d.name for d in data.iterdir()) == [f"part-{i:05d}" for i in range(p)]
+    ids = pq.read_table(data, columns=["record_id"]).column("record_id")
+    assert len(ids) == want.stats["features"]["rows"] == res.stats["features"]["rows"]
+    assert pc.count_distinct(ids).as_py() == len(ids)
+    assert len(_cluster_table(want)) > 0 and _cluster_table(res).equals(_cluster_table(want))
+
+
+def _tear_features_after(monkeypatch, k: int) -> None:
+    """Make the features stage of the next run commit its parts 0..k-1
+    and then fail, the writes of its other parts done but uncommitted."""
+    import mel_ray.state.manifest as M
+
+    write = M._write_blocks
+
+    def torn_after_k(out_dir, blocks):
+        wait = write(out_dir, blocks)
+        if out_dir.parent.parent.name != "features" or int(out_dir.name[-5:]) < k:
+            return wait
+        wait()
+
+        def tear():
+            raise RuntimeError("torn")
+
+        return tear
+
+    monkeypatch.setattr(M, "_write_blocks", torn_after_k)
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_resume_under_another_share_plan_rebuilds_parts(tmp_path, tiny_corpus, monkeypatch):
     """A features stage torn under one shuffle_partitions() and resumed
     under another keeps none of its parts, since their shares differ: it
     rebuilds every part of the new plan, leaves no part of the old one,
-    and links to the same clusters."""
+    and links to the same clusters.  Torn again and resumed under the
+    first plan, it reuses none of the first plan's records either: their
+    part dirs now hold the other plan's shares."""
     import shutil
-
-    import pyarrow.parquet as pq
 
     import mel_ray.pipelines.linkage as L
     from mel_ray.config import LinkageConfig
-    from mel_ray.util import shuffle_partitions
 
     ckpt = tmp_path / "ckpt"
     cfg = LinkageConfig(checkpoint_dir=str(ckpt))
     corpus = str(tiny_corpus / "files")
-    first = L.run_linkage(corpus, cfg)
-    feat = ckpt / "features"
-    (feat / "manifest.json").unlink()
-    for name in ("scored", "components", "clusters"):
-        shutil.rmtree(ckpt / name)
 
-    p = shuffle_partitions() // 2
-    monkeypatch.setattr(L, "shuffle_partitions", lambda: p)
-    res = L.run_linkage(corpus, cfg)
-    assert res.stats["features"]["partitions_built"] == p
-    assert res.stats["features"]["partitions_restored"] == 0
-    assert sorted(d.name for d in (feat / "data").iterdir()) == [f"part-{i:05d}" for i in range(p)]
-    assert pq.read_table(feat / "data").num_rows == first.stats["features"]["rows"]
-    cols = ["record_id", "cluster_id"]
-    want = first.clusters.to_pandas()[cols].sort_values("record_id").reset_index(drop=True)
-    got = res.clusters.to_pandas()[cols].sort_values("record_id").reset_index(drop=True)
-    assert len(want) > 0 and got.equals(want)
+    def tear_manifests():
+        (ckpt / "features" / "manifest.json").unlink()
+        for name in ("scored", "components", "clusters"):
+            shutil.rmtree(ckpt / name)
+
+    first = L.run_linkage(corpus, cfg)
+    tear_manifests()
+    with monkeypatch.context() as m:
+        p = L.shuffle_partitions() // 2
+        m.setattr(L, "shuffle_partitions", lambda: p)
+        _assert_features_built_afresh(L.run_linkage(corpus, cfg), ckpt, first)
+    tear_manifests()
+    _assert_features_built_afresh(L.run_linkage(corpus, cfg), ckpt, first)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_torn_switches_of_plan_and_input_reuse_no_stale_part(tmp_path, tiny_corpus, monkeypatch):
+    """Runs torn mid-features into one checkpoint dir, under P then P/2
+    shares (the same input), or over input F then G, leave no journal
+    record that a later run of the first plan or input could take for a
+    part dir the other one rewrote."""
+    import pyarrow.parquet as pq
+
+    import mel_ray.pipelines.linkage as L
+    from mel_ray.config import LinkageConfig
+
+    f = str(tiny_corpus / "files")
+    g = tmp_path / "g.parquet"
+    pq.write_table(pq.read_table(f).slice(0, 500), g)
+    want = L.run_linkage(f, LinkageConfig())
+    for switch in ("plan", "input"):
+        ckpt = tmp_path / switch
+        cfg = LinkageConfig(checkpoint_dir=str(ckpt))
+        with monkeypatch.context() as m:
+            _tear_features_after(m, 3)
+            with pytest.raises(RuntimeError, match="torn"):
+                L.run_linkage(f, cfg)
+        with monkeypatch.context() as m:
+            if switch == "plan":
+                p = L.shuffle_partitions() // 2
+                m.setattr(L, "shuffle_partitions", lambda: p)
+            _tear_features_after(m, 2)
+            with pytest.raises(RuntimeError, match="torn"):
+                L.run_linkage(f if switch == "plan" else str(g), cfg)
+        journal = (ckpt / "features" / "journal.jsonl").read_text().splitlines()
+        assert [json.loads(line)["pid"] for line in journal] == [0, 1]
+        _assert_features_built_afresh(L.run_linkage(f, cfg), ckpt, want)
 
 
 @pytest.mark.usefixtures("ray_session")
