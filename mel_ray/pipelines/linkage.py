@@ -162,7 +162,8 @@ def _link(
 
     The threshold of the module docstring picks how ``scored`` is built.
     Under it, each band-major id-range task uniques its pairs and scores
-    them (``finish`` = :func:`~mel_ray.stages.scoring.broadcast_scorer`),
+    them by record rank (``finish`` =
+    :func:`~mel_ray.stages.scoring.broadcast_scorer`),
     so the end of those tasks is the stage's only barrier: each avoided
     barrier/AllToAll is fixed wall-clock that does not shrink with
     cluster size (round-5 profile: ~12 s of exchange coordination in the
@@ -250,8 +251,10 @@ def _link(
     )
 
 
-def _sorted_ids(*parts: pa.Table) -> np.ndarray:
-    return np.sort(np.concatenate([t["record_id"].to_numpy() for t in parts]))
+def _delta_ids(*parts: pa.Table) -> tuple[int, np.ndarray]:
+    """(worker task) delta feature blocks -> (row count, sorted record ids)."""
+    ids = np.concatenate([np.empty(0, np.int64), *(t["record_id"].to_numpy() for t in parts)])
+    return len(ids), np.sort(ids)
 
 
 def _accepted_edges(t: pa.Table) -> pa.Table:
@@ -329,14 +332,15 @@ def run_linkage_incremental(
             "the delta with the base's config, or re-link base ∪ delta from scratch"
         )
     new_blocks = featurize_blocks(new_corpus_path, cfg, renames)
-    new_rows = ray.data.from_arrow_refs(new_blocks).count()
+    # broadcast the sorted delta-id array (worker assembly task; the
+    # driver only holds the ref — same discipline as assign_clusters)
+    # and take the delta's row count from the same task
+    rows_ref, ids_ref = ray.remote(num_returns=2)(_delta_ids).remote(*new_blocks)
+    new_rows = ray.get(rows_ref)
     # base ∪ delta is the two block lists side by side (no union execution)
     blocks = base.features.to_arrow_refs()
     if new_rows:
         blocks += new_blocks
-        # broadcast the sorted delta-id array (worker assembly task; the
-        # driver only holds the ref — same discipline as assign_clusters)
-        ids_ref = ray.remote(_sorted_ids).remote(*new_blocks)
 
         def touch(t: pa.Table) -> pa.Table:
             # keep the pairs touching the delta, before the dedup exchange

@@ -20,16 +20,23 @@ scorer's own threshold (feature rows <=
 
 * band-major (:func:`band_major_pairs`, under the limit)::
 
-    feature blocks --G band-range tasks--> G x P id_a-range pair slices
+    feature blocks --1 index task--> (ranks, order, sorted_ids)
+    feature blocks + index --G band-range tasks--> G x P pair-key slices
     P slices of one range --1 id-range task--> unique pairs [-> scored]
 
-  Each band-range task reads every feature block and owns a contiguous
-  band range; it emits the pairs of its bands and cuts them at the P
-  pair-count quantiles of ``id_a`` (:func:`id_range_bounds`).  Each
-  id-range task uniques its range and, in the streaming linkage plan,
-  scores it too (``finish``: the broadcast scorer over views of the
-  same feature blocks, stages/scoring.py).  No Ray Data exchange, and
-  the only barrier is the end of the P id-range tasks.
+  The index task (:func:`record_index`) gives every record its dense
+  rank among the sorted ``record_id`` s, and a pair travels as one
+  int64 key ``rank_a * n + rank_b`` (:func:`check_pair_key_space`).  Rank
+  order is id order, so a key sort is the ``(id_a, id_b)`` sort.  Each
+  band-range task reads every feature block and owns a contiguous band
+  range; it emits the pair keys of its bands, uniques them with one
+  sort and cuts them at the P pair-count quantiles of ``id_a``
+  (:func:`id_range_bounds`).  Each id-range task uniques its range's
+  keys and, in the linkage plan, scores their ranks too (``finish``:
+  the broadcast scorer over views of the same feature blocks, which
+  finds a rank's row as ``order[rank]``, stages/scoring.py).  No Ray
+  Data exchange, and the only barrier is the end of the P id-range
+  tasks.
 * bucketed (:func:`candidate_pairs`, above it)::
 
     features --map_batches--> bands (record_id, band_hash, bucket)
@@ -215,9 +222,17 @@ def expand_bands_batch(
 BAND_COUNTS = ("dropped_bands", "salted_bands", "capped_groups")
 
 
-def _emit_pairs_for_bucket(group: pa.Table, cfg: BlockingConfig) -> tuple[pa.Table, dict]:
+def _emit_pairs_for_bucket(
+    group: pa.Table, cfg: BlockingConfig, ids: np.ndarray | None = None
+) -> tuple[pa.Table, dict]:
     """Vectorized pair emission for all band runs inside one bucket ->
     (pairs ``id_a < id_b``, band counts keyed by :data:`BAND_COUNTS`).
+
+    With ``ids`` (the sorted record ids of :func:`record_index`), the
+    ``record_id`` column holds dense ranks into ``ids`` and the pairs
+    come out as ranks: rank order is id order, so runs, caps and
+    stopbands are the same, and salt sub-groups hash the real
+    ``ids[rank]``, so the pairs are the id-space pairs mapped to ranks.
 
     Arrow-native in AND out: returning a pandas frame would re-attach
     pandas schema metadata to the block, which makes the schema
@@ -253,7 +268,8 @@ def _emit_pairs_for_bucket(group: pa.Table, cfg: BlockingConfig) -> tuple[pa.Tab
         s, e = starts[idx], ends[idx]
         members = rid[s:e]
         k = int(np.ceil((e - s) / cfg.salt_limit))
-        sub = (splitmix64(members.view(U64)) % U64(k)).astype(np.int64)
+        salt = members if ids is None else ids[members]
+        sub = (splitmix64(salt.view(U64)) % U64(k)).astype(np.int64)
         for g in range(k):
             mem = np.sort(members[sub == g])
             if len(mem) >= 2:
@@ -416,7 +432,9 @@ def dedup_pairs(
 
 
 def unique_pairs(*parts: pa.Table) -> pa.Table:
-    """Pair tables -> their distinct (id_a, id_b), sorted by (id_a, id_b)."""
+    """Pair tables -> their distinct (id_a, id_b), sorted by (id_a, id_b):
+    the bucketed plan's dedup exchange (the band-major plan uniques
+    packed rank keys instead, :func:`band_major_pairs`)."""
     t = pa.concat_tables(parts)
     a = t["id_a"].to_numpy()
     b = t["id_b"].to_numpy()
@@ -427,37 +445,82 @@ def unique_pairs(*parts: pa.Table) -> pa.Table:
     return pa.table({"id_a": pa.array(a[keep]), "id_b": pa.array(b[keep])})
 
 
+def record_index(*blocks: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(worker task) feature blocks -> ``(ranks, order, sorted_ids)``:
+    ``sorted_ids`` are the distinct record ids in ascending order, a
+    record's dense rank is its position there, ``ranks`` gives the rank
+    of every row of the concatenated blocks and ``order[rank]`` the
+    first such row (rows are numbered across the blocks in order,
+    empty blocks included, as they hold no row)."""
+    ids = np.concatenate([np.empty(0, np.int64), *(t["record_id"].to_numpy() for t in blocks)])
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    ranks = np.empty(len(ids), dtype=np.int64)
+    ranks[order] = np.cumsum(first) - 1
+    return ranks, order[first], ids[first]
+
+
+def check_pair_key_space(n_rows: int) -> None:
+    """``ValueError`` unless the band-major plan's pair keys ``rank_a *
+    n + rank_b`` over ``n = n_rows`` records fit int64."""
+    if n_rows * n_rows > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"{n_rows} feature rows overflow the band-major plan's int64 pair keys "
+            "(rows * rows must stay below 2**63): lower ScoringConfig."
+            "broadcast_limit_rows so that this many rows take the bucketed plan"
+        )
+
+
+def _decode(keys: np.ndarray, sorted_ids: np.ndarray) -> pa.Table:
+    """pair keys -> (id_a, id_b)."""
+    ra, rb = np.divmod(keys, len(sorted_ids))
+    return pa.table({"id_a": sorted_ids[ra], "id_b": sorted_ids[rb]})
+
+
 def _band_range_pairs(
-    bands: tuple[int, int], cfg: BlockingConfig, n_ranges: int, pair_filter, *blocks: pa.Table
+    bands: tuple[int, int],
+    cfg: BlockingConfig,
+    n_ranges: int,
+    pair_filter,
+    ranks: np.ndarray,
+    sorted_ids: np.ndarray,
+    *blocks: pa.Table,
 ) -> tuple:
     """(worker task) every feature block -> the pairs of the bands
-    ``[lo, hi)``: (band counts, then ``n_ranges`` slices of the locally
-    unique pairs, cut at :func:`id_range_bounds`).
+    ``[lo, hi)``: (band counts, then ``n_ranges`` slices of the sorted,
+    locally unique pair keys, cut at :func:`id_range_bounds`).
 
     Every run of these bands is whole here, so the unchanged
-    :func:`_emit_pairs_for_bucket` makes the bucketed plan's stopband,
-    salt and cap decisions and counts.  Shingle-less records are dropped
-    as :func:`expand_bands_batch` drops them."""
+    :func:`_emit_pairs_for_bucket`, on ranks, makes the bucketed plan's
+    stopband, salt and cap decisions and counts.  Shingle-less records
+    are dropped as :func:`expand_bands_batch` drops them.  ``pair_filter``
+    sees the unique pairs as ``id_a``, ``id_b`` with their ``key``."""
     lo, hi = bands
-    rids, hashes = [np.empty(0, np.int64)], [np.empty(0, U64)]
+    n = len(sorted_ids)
+    rows, hashes = [np.empty(0, np.int64)], [np.empty(0, U64)]
+    start = 0
     for t in blocks:
         if not len(t):
             continue
         sig32 = binary_matrix(t["sig"], np.uint32)  # zero-copy view
         keep = ~empty_signature_mask(sig32)
         _, bh = band_keys(sig32, cfg.num_bands, lo, hi)
-        rids.append(np.repeat(t["record_id"].to_numpy()[keep], hi - lo))
+        rows.append(np.repeat(ranks[start : start + len(t)][keep], hi - lo))
         hashes.append(bh.reshape(len(t), hi - lo)[keep].reshape(-1))
+        start += len(t)
     group = pa.table(
-        {"record_id": np.concatenate(rids), "band_hash": np.concatenate(hashes).view(np.int64)}
+        {"record_id": np.concatenate(rows), "band_hash": np.concatenate(hashes).view(np.int64)}
     )
-    pairs, counts = _emit_pairs_for_bucket(group, cfg)
+    pairs, counts = _emit_pairs_for_bucket(group, cfg, ids=sorted_ids)
+    keys = np.unique(pairs["id_a"].to_numpy() * n + pairs["id_b"].to_numpy())
     if pair_filter is not None:
-        pairs = pair_filter(pairs)
-    pairs = unique_pairs(pairs)
-    bounds = id_range_bounds(n_ranges)
-    cuts = [0, *np.searchsorted(pairs["id_a"].to_numpy(), bounds).tolist(), len(pairs)]
-    return (counts, *[pairs.slice(s, e - s) for s, e in zip(cuts[:-1], cuts[1:])])
+        keys = pair_filter(_decode(keys, sorted_ids).append_column("key", pa.array(keys)))
+        keys = keys["key"].to_numpy()
+    bounds = np.searchsorted(sorted_ids, id_range_bounds(n_ranges)) * n
+    cuts = [0, *np.searchsorted(keys, bounds).tolist(), len(keys)]
+    return (counts, *[keys[s:e] for s, e in zip(cuts[:-1], cuts[1:])])
 
 
 def id_range_bounds(n_ranges: int) -> list[int]:
@@ -472,11 +535,16 @@ def id_range_bounds(n_ranges: int) -> list[int]:
     return [int((1 << 63) * (1 - math.sqrt(1 - i / n_ranges))) for i in range(1, n_ranges)]
 
 
-def _unique_range(finish, *parts: pa.Table) -> pa.Table:
-    """(worker task) one ``id_a`` range's pair slices -> its unique pairs,
-    passed through ``finish`` when one is given."""
-    pairs = unique_pairs(*parts)
-    return pairs if finish is None else finish(pairs)
+def _unique_range(
+    finish, order: np.ndarray, sorted_ids: np.ndarray, *parts: np.ndarray
+) -> pa.Table:
+    """(worker task) one ``id_a`` range's pair-key slices -> its unique
+    pairs as (id_a, id_b), or ``finish((rank_a, rank_b), (order,
+    sorted_ids))`` when ``finish`` is given."""
+    keys = np.unique(np.concatenate([np.empty(0, np.int64), *parts]))
+    if finish is None:
+        return _decode(keys, sorted_ids)
+    return finish(np.divmod(keys, len(sorted_ids)), (order, sorted_ids))
 
 
 def band_major_pairs(
@@ -491,31 +559,37 @@ def band_major_pairs(
     broadcast (the scorer's ``broadcast_limit_rows``; Spark's broadcast
     join and the reference's qid-remap table are the same idiom).
 
-    G = ``min(num_bands, shuffle_partitions())`` tasks each read every
+    One task ranks the records (:func:`record_index`).  G =
+    ``min(num_bands, shuffle_partitions())`` tasks each read every
     materialized feature block from the object store and own a
-    contiguous band range (:func:`_band_range_pairs`); their pairs are
-    unique locally and cut into P = ``shuffle_partitions()`` disjoint
-    ``id_a`` ranges of about equal pair counts, so P tasks, one per
-    range, make the pairs globally unique: duplicate pairs are never
+    contiguous band range (:func:`_band_range_pairs`); their pair keys
+    are unique locally and cut into P = ``shuffle_partitions()``
+    disjoint ``id_a`` ranges of about equal pair counts, so P tasks, one
+    per range, make the pairs globally unique: duplicate pairs are never
     shuffled.  Pairs and band accounting equal :func:`candidate_pairs`'s;
     ``stats_sink`` and ``pair_filter`` mean the same as in
     :func:`bucket_pairs` (counts are keyed by each task's first band).
-    ``finish`` (pa.Table -> pa.Table), when given, runs inside each
-    id-range task on its unique pairs, and the dataset holds its
-    outputs: the streaming linkage plan scores the pairs there."""
+    ``finish((rank_a, rank_b), (order, sorted_ids)) -> pa.Table``, when
+    given, runs inside each id-range task on the ranks of its unique
+    pairs (ascending), and the dataset holds its outputs: the linkage
+    plan scores the pairs there."""
     from ..util import shuffle_partitions
 
+    check_pair_key_space(features.count())
     n_tasks, n_ranges = min(cfg.num_bands, shuffle_partitions()), shuffle_partitions()
     blocks = features.to_arrow_refs()
     # whole-CPU tasks: they queue on the warm worker pool (a fractional
     # request makes the raylet start extra workers for them); a task
     # blocked in ray.get gives its CPU back, so they cannot deadlock
+    ranks, order, sorted_ids = ray.remote(num_returns=3)(record_index).remote(*blocks)
     emit = ray.remote(num_returns=n_ranges + 1)(_band_range_pairs)
     unique = ray.remote(_unique_range)
     slices = []
     for g in range(n_tasks):
         lo, hi = cfg.num_bands * g // n_tasks, cfg.num_bands * (g + 1) // n_tasks
-        counts, *parts = emit.remote((lo, hi), cfg, n_ranges, pair_filter, *blocks)
+        counts, *parts = emit.remote(
+            (lo, hi), cfg, n_ranges, pair_filter, ranks, sorted_ids, *blocks
+        )
         if stats_sink is not None:
             # this process hands the counts ref on, so no task waits on
             # the sink; the sink runs one caller's calls in submission
@@ -523,5 +597,8 @@ def band_major_pairs(
             stats_sink.put.remote("blocking", lo, counts)
         slices.append(parts)
     return ray.data.from_arrow_refs(
-        [unique.remote(finish, *[s[r] for s in slices]) for r in range(n_ranges)]
+        [
+            unique.remote(finish, order, sorted_ids, *[s[r] for s in slices])
+            for r in range(n_ranges)
+        ]
     )

@@ -35,8 +35,6 @@ import ray.data
 from ..config import BlockingConfig, ScoringConfig
 from ..functions.strsim import jaro_winkler, levenshtein_ratio
 
-PAIR_SCHEMA = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
-
 # Shuffle-join aggregator actors stay fractional so several join stages
 # plus an actor pool fit a small node (each Dataset.join spawns
 # num_partitions of them); helper TASKS take whole CPUs (see
@@ -207,7 +205,8 @@ def score_pairs(
         else pairs
     )
     if not verified.count():
-        return ray.data.from_arrow(_BlockViews([], scoring).score(PAIR_SCHEMA.empty_table()))
+        none = np.empty(0, dtype=np.int64)
+        return ray.data.from_arrow(_BlockViews([], scoring).score(none, none))
     enriched = attach_features(verified, features, num_partitions)
     return enriched.map_batches(
         PairScorer,
@@ -227,11 +226,12 @@ def score_pairs(
 # views (_BlockViews) — and scores pairs with zero shuffle: the map-side join
 # the reference uses for its qid-remap table (src/utils/qids_remap.py:35-55)
 # and Spark's autoBroadcastJoinThreshold strategy.  The linkage plan runs
-# it inside the band-major id-range tasks (broadcast_scorer as
-# blocking.band_major_pairs' ``finish``); above the threshold it runs the
-# partitioned Dataset.join cascade above (the 10^12-row scale path).
-# score_pairs_auto scores a separate pair dataset; only perfbench's
-# traced mode calls it.
+# it inside the band-major id-range tasks on the ranks of their pairs
+# (broadcast_scorer as blocking.band_major_pairs' ``finish``, with the
+# plan's record index); above the threshold it runs the partitioned
+# Dataset.join cascade above (the 10^12-row scale path).
+# score_pairs_auto scores a pair dataset of record ids through the same
+# views; only perfbench's traced mode calls it.
 # ---------------------------------------------------------------------------
 
 
@@ -247,27 +247,30 @@ def _matrix_chunks(col: pa.ChunkedArray, dtype) -> tuple[list[np.ndarray], np.nd
 
 class _BlockViews:
     """Zero-copy scorer state over the materialized feature blocks: per
-    pair batch, searchsorted id lookup + the same kernels as PairScorer.
+    batch of pairs given as record ranks, ``order[rank]`` row lookup +
+    the same kernels as PairScorer.
 
-    sig/emb are numpy VIEWS over the plasma-backed Arrow buffers, one per
-    chunk, so one per block for the blocks of pipelines/linkage.py
+    ``index`` is the ``(order, sorted_ids)`` of blocking.record_index
+    over the same blocks: the band-major plan passes the one its index
+    task built, and pairs of record ids (:func:`score_pairs_auto`) are
+    ranked against an index built here (:meth:`ranks`).  sig/emb are
+    numpy VIEWS over the plasma-backed Arrow buffers, one per chunk, so
+    one per block for the blocks of pipelines/linkage.py
     ``featurize_blocks`` (every worker on a node shares ONE copy of the
     payload; combining chunks would copy the table per worker, see
-    blocking.binary_matrix); an id is found through one argsort of the
-    concatenated record_ids and gathered with segmented fancy indexing.
+    blocking.binary_matrix), gathered with segmented fancy indexing.
     Round-5 profile note: gathering through ``pc.take`` on a chunked
     array instead cost the scorer a 35% UDF-over-CPU stall; numpy fancy
     indexing on the mapped views removed it."""
 
-    def __init__(self, blocks: list, scoring: ScoringConfig):
+    def __init__(self, blocks: list, scoring: ScoringConfig, index=None):
         from ..state.model_ckpt import scorer_weights
+        from .blocking import record_index
 
         blocks = [t for t in blocks if len(t)]
+        self.order, self.ids = index or record_index(*blocks)[1:]
         if blocks:
             col = lambda c: pa.chunked_array([ch for t in blocks for ch in t[c].chunks])  # noqa: E731
-            ids = col("record_id").to_numpy()
-            self.order = np.argsort(ids, kind="stable")
-            self.ids = ids[self.order]
             self.sigs = _matrix_chunks(col("sig"), np.uint32)
             self.embs = _matrix_chunks(col("emb"), np.float16)
             # FLAT single-chunk string columns: pc.take on a ChunkedArray
@@ -280,16 +283,15 @@ class _BlockViews:
             self.repo = col("repo").combine_chunks()
             self.path = col("path").combine_chunks()
         else:
-            self.order = self.ids = np.empty(0, dtype=np.int64)
             self.sigs = [np.empty((0, 1), dtype=np.uint32)], np.zeros(1, dtype=np.int64)
             self.embs = [np.empty((0, 1), dtype=np.float16)], np.zeros(1, dtype=np.int64)
             self.repo = self.path = pa.array([], pa.string())
         self.cfg = scoring
         self.w = scorer_weights(scoring)  # model state, loaded once per worker
 
-    def _rows(self, ids: np.ndarray) -> np.ndarray:
-        """record ids -> their rows in the concatenated blocks."""
-        return self.order[np.searchsorted(self.ids, ids)]
+    def ranks(self, ids: np.ndarray) -> np.ndarray:
+        """record ids -> their ranks in the index."""
+        return np.searchsorted(self.ids, ids)
 
     @staticmethod
     def _gather(views: tuple[list[np.ndarray], np.ndarray], rows: np.ndarray) -> np.ndarray:
@@ -306,12 +308,11 @@ class _BlockViews:
             out[sel] = mats[k][rows[sel] - bounds[k]]
         return out
 
-    def score(self, batch: pa.Table) -> pa.Table:
+    def score(self, rank_a: np.ndarray, rank_b: np.ndarray) -> pa.Table:
+        """pairs as record ranks -> scored pairs (with their record ids)."""
         from ..functions.minhash import estimate_jaccard
 
-        a = batch["id_a"].to_numpy()
-        b = batch["id_b"].to_numpy()
-        ra, rb = self._rows(a), self._rows(b)
+        ra, rb = self.order[rank_a], self.order[rank_b]
         est_j = estimate_jaccard(self._gather(self.sigs, ra), self._gather(self.sigs, rb))
         keep = est_j >= self.cfg.jaccard_accept
         ra, rb = ra[keep], rb[keep]
@@ -319,8 +320,8 @@ class _BlockViews:
         return score_kernel(
             self.cfg,
             self.w,
-            pa.array(a[keep]),
-            pa.array(b[keep]),
+            pa.array(self.ids[rank_a[keep]]),
+            pa.array(self.ids[rank_b[keep]]),
             est_j[keep],
             self._gather(self.embs, ra),
             self._gather(self.embs, rb),
@@ -335,47 +336,65 @@ class _BlockViews:
 # new broadcast epoch releases the previous run's plasma pins).  Keyed by
 # the feature block refs + scoring config, so every TASK of one stage
 # reuses the views its worker already built — state rebuild from plasma
-# is zero-copy plus one argsort of the ids, which is what makes a
-# stateless-TASK scorer viable at all.
+# is zero-copy (plus one argsort of the ids when no index is given),
+# which is what makes a stateless-TASK scorer viable at all.
 _VIEWS_CACHE: dict[tuple, _BlockViews] = {}
 
 
-def _block_views(block_refs: tuple, scoring: ScoringConfig) -> _BlockViews:
+def _block_views(block_refs: tuple, scoring: ScoringConfig, index=None) -> _BlockViews:
     key = (tuple(r.hex() for r in block_refs), repr(scoring))
     views = _VIEWS_CACHE.get(key)
     if views is None:
-        views = _BlockViews(ray.get(list(block_refs)), scoring)
+        views = _BlockViews(ray.get(list(block_refs)), scoring, index)
         _VIEWS_CACHE.clear()
         _VIEWS_CACHE[key] = views
     return views
 
 
-def _score_over_views(block_refs: tuple, scoring: ScoringConfig, pairs: pa.Table) -> pa.Table:
-    """(worker) pairs -> scored pairs over the feature block views, in
-    slices of ``4 * batch_size`` pairs, which bound the gathered
-    sig/emb rows whatever the size of ``pairs``."""
-    views = _block_views(block_refs, scoring)
-    step = scoring.batch_size * 4
-    if len(pairs) <= step:
-        return views.score(pairs)
+def _score_sliced(views: _BlockViews, rank_a: np.ndarray, rank_b: np.ndarray) -> pa.Table:
+    """Ranked pairs -> scored pairs, in slices of ``4 * batch_size``
+    pairs, which bound the gathered sig/emb rows whatever the number of
+    pairs."""
+    step = views.cfg.batch_size * 4
+    if len(rank_a) <= step:
+        return views.score(rank_a, rank_b)
     return pa.concat_tables(
-        [views.score(pairs.slice(s, step)) for s in range(0, len(pairs), step)]
+        [
+            views.score(rank_a[s : s + step], rank_b[s : s + step])
+            for s in range(0, len(rank_a), step)
+        ]
+    )
+
+
+def _score_ranks(
+    block_refs: tuple, scoring: ScoringConfig, ranks: tuple, index: tuple
+) -> pa.Table:
+    """(worker) ``(rank_a, rank_b)`` under ``index`` -> scored pairs."""
+    return _score_sliced(_block_views(block_refs, scoring, index), *ranks)
+
+
+def _score_ids(block_refs: tuple, scoring: ScoringConfig, pairs: pa.Table) -> pa.Table:
+    """(worker) pairs of record ids -> scored pairs."""
+    views = _block_views(block_refs, scoring)
+    return _score_sliced(
+        views, views.ranks(pairs["id_a"].to_numpy()), views.ranks(pairs["id_b"].to_numpy())
     )
 
 
 def broadcast_scorer(features: "ray.data.Dataset", scoring: ScoringConfig):
-    """pa.Table of pairs -> scored pairs, over views of ``features``'
-    materialized blocks: the ``finish`` of blocking.band_major_pairs, and
-    the batch fn of :func:`score_pairs_auto`'s broadcast branch.
+    """``finish`` of blocking.band_major_pairs: ``(rank_a, rank_b)``
+    under the plan's ``(order, sorted_ids)`` record index -> scored
+    pairs, over views of ``features``' materialized blocks (the blocks
+    the index was built from, in the same order).
 
     STATELESS TASKS, not an actor pool.  Round-5 profile (sf0.1): the
     actor-pool form spent 10-16 s of WALL at every cpu count on fresh
     actor processes and per-actor state builds; tasks run on the
     prestarted, already-warm Ray workers and rebuild the scorer state at
-    most ONCE per worker process (_VIEWS_CACHE).  One task per pair
-    block: bundling blocks up to a batch size left a stage of a few
-    large tasks on 2-3 of 4 cores."""
-    return functools.partial(_score_over_views, tuple(features.to_arrow_refs()), scoring)
+    most ONCE per worker process (_VIEWS_CACHE), from the index the plan
+    already built.  One task per id range: bundling ranges up to a batch
+    size left a stage of a few large tasks on 2-3 of 4 cores."""
+    return functools.partial(_score_ranks, tuple(features.to_arrow_refs()), scoring)
 
 
 def score_pairs_auto(
@@ -389,9 +408,10 @@ def score_pairs_auto(
     """Join-strategy selection: broadcast when the feature side is small
     (features is materialized by the stage checkpointer, so count() is a
     metadata read), partitioned cascade otherwise.  The broadcast branch
-    maps :func:`broadcast_scorer` over the pair blocks, one task each;
-    ``fan_out`` repartitions the pairs to ~3x cluster_cpus blocks first
-    (an AllToAll barrier), for pair blocks read back from a committed
+    scores each pair block in one task over the same views as
+    :func:`broadcast_scorer`, ranking its record ids there; ``fan_out``
+    repartitions the pairs to ~3x cluster_cpus blocks first (an
+    AllToAll barrier), for pair blocks read back from a committed
     stage."""
     from ..util import cluster_cpus
 
@@ -400,7 +420,7 @@ def score_pairs_auto(
     if fan_out:
         pairs = pairs.repartition(max(2, cluster_cpus()) * 3)
     return pairs.map_batches(
-        broadcast_scorer(features, scoring),
+        functools.partial(_score_ids, tuple(features.to_arrow_refs()), scoring),
         batch_format="pyarrow",
         batch_size=None,
         zero_copy_batch=True,

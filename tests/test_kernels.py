@@ -415,6 +415,63 @@ class TestPairEmissionAccounting:
         assert len(pairs) == 15 + 3
 
 
+def test_emit_on_ranks_maps_to_id_space_pairs():
+    """Emission over dense record ranks with ``ids=`` gives the id-space
+    pairs and band counts, mapped through ``ids``: over a dropped, a
+    salted, a star-capped and two plain runs, with the rows shuffled.
+    Salting by rank instead of by record id gives other pairs here."""
+    from mel_ray.config import BlockingConfig
+    from mel_ray.stages.blocking import _emit_pairs_for_bucket
+
+    rng = np.random.default_rng(11)
+    ids = np.unique(rng.integers(0, 1 << 63, size=400, dtype=np.int64))
+    cfg = BlockingConfig(salt_limit=32, stopband_limit=150, max_pairs_per_group=20)
+    bands, ranks = [], []
+    for band, size in enumerate([200, 100, 12, 5, 3]):
+        bands.append(np.full(size, band * 7919, dtype=np.int64))
+        ranks.append(rng.choice(len(ids), size=size, replace=False))
+    bands, ranks = np.concatenate(bands), np.concatenate(ranks)
+    shuffle = rng.permutation(len(ranks))
+    bands, ranks = bands[shuffle], ranks[shuffle]
+
+    def emit(rid, **kw):
+        group = pa.table({"record_id": rid, "band_hash": bands})
+        pairs, counts = _emit_pairs_for_bucket(group, cfg, **kw)
+        return sorted(zip(pairs["id_a"].to_pylist(), pairs["id_b"].to_pylist())), counts
+
+    want, want_counts = emit(ids[ranks])
+    got, got_counts = emit(ranks, ids=ids)
+    assert got_counts == want_counts == {"dropped_bands": 1, "salted_bands": 1, "capped_groups": 1}
+    assert sorted((int(ids[a]), int(ids[b])) for a, b in got) == want
+    by_rank, _ = emit(ranks)
+    assert sorted((int(ids[a]), int(ids[b])) for a, b in by_rank) != want
+
+
+def test_record_index_ranks_rows_densely():
+    """A record id seen twice gets one rank, and ``order[rank]`` is its
+    first row across the blocks, the row an id lookup would find."""
+    from mel_ray.stages.blocking import record_index
+
+    ids = lambda *v: pa.table({"record_id": pa.array(v, pa.int64())})  # noqa: E731
+    ranks, order, sorted_ids = record_index(ids(30, 10), ids(), ids(20, 10, 5))
+    assert sorted_ids.tolist() == [5, 10, 20, 30]
+    assert ranks.tolist() == [3, 1, 2, 1, 0]
+    assert order.tolist() == [4, 1, 2, 0]
+
+
+def test_pair_key_space_guards_int64():
+    """The band-major pair key ``rank_a * n + rank_b`` must fit int64:
+    the guard takes a row count and raises, naming the limit to lower,
+    once ``n * n`` would not fit."""
+    from mel_ray.stages.blocking import check_pair_key_space
+
+    last = 3_037_000_499  # floor(sqrt(2**63 - 1))
+    check_pair_key_space(0)
+    check_pair_key_space(last)
+    with pytest.raises(ValueError, match="broadcast_limit_rows"):
+        check_pair_key_space(last + 1)
+
+
 def test_id_range_bounds_balance_pair_counts():
     """Band-major id ranges cut at the pair-count quantiles of id_a =
     min(two uniform 63-bit ids): on uniform-id pairs no range holds more
