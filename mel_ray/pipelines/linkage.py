@@ -16,8 +16,8 @@ the rows and returns one feature block with one chunk per column.
 
 One threshold picks the blocking and scoring plans: the feature row
 count against ``ScoringConfig.broadcast_limit_rows``.  At or under it,
-blocking is band-major (band-range tasks over the materialized feature
-blocks, then id-range unique tasks: no exchange) and each id-range task
+blocking is band-major (band-range tasks over the feature blocks,
+then id-range unique tasks: no exchange) and each id-range task
 scores the pairs it uniques over zero-copy views of those same feature
 blocks (stateless tasks, no join), so candidates and scoring are one
 task graph.  Above it, blocking is bucketed (band groupby then
@@ -25,27 +25,28 @@ pair-dedup groupby, two push-based sort exchanges) and scoring is the
 partitioned ``Dataset.join`` cascade with an actor-pool scorer.
 ``res.stats["plan"]`` records the choice.
 
-From the features to the committed checkpoint, the band-major plan runs
-no Ray Data execution: the edge filter, connected components under
-``small_graph_limit``, the broadcast assign, an incremental run's base ∪
-delta features and label edges, and the checkpoint writes and reads
-(state/manifest.py) are whole-CPU plain tasks over block refs, wrapped
-in a Dataset (``util.dataset_of``) only where a caller gets one.  At
-the block counts of a linkage run a Ray Data operator costs more in
-executor start-up than its work.
+Block refs between stages, a Dataset at the API edge: stages hand each
+other plain lists of block refs, and a Dataset is built only where a Ray
+Data operator runs (the bucketed plan, the partitioned scorer and assign
+joins, star contraction) and when a caller first reads a
+:class:`LinkageResult` field.  At the block counts of a linkage run a
+Dataset costs more to build than the work it holds, so the band-major
+plan runs no Ray Data execution from the features to the committed
+checkpoint: every step above is whole-CPU plain tasks.
 
 The stages are ``features``, ``scored``, ``components`` and
 ``clusters``, built by the same tasks with or without a checkpoint dir
-(see :func:`_link`): without one they stream between object-store
-materializations; a checkpoint dir adds the commits, one per input share
-for ``features`` and one for each other stage, and a rerun restores what
-they committed (state/manifest.py ``StageCheckpointer.through``).
+(see :func:`_link`): without one they stay in the object store; a
+checkpoint dir adds the commits, one per input share for ``features``
+and one for each other stage, and a rerun restores what they committed
+(state/manifest.py ``StageCheckpointer.through``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -60,7 +61,7 @@ from ..stages import clustering as C
 from ..stages import ingest as I
 from ..stages import scoring as S
 from ..state.manifest import StageCheckpointer
-from ..util import dataset_of, shuffle_partitions
+from ..util import num_rows, shuffle_partitions
 
 
 def _featurize_share(
@@ -100,18 +101,51 @@ def featurize_blocks(corpus_path, cfg: LinkageConfig, renames: dict[str, str] | 
     return [b for pieces in I.split_input(corpus_path, shuffle_partitions()) for b in build(pieces)]
 
 
+# a Dataset handed out by a LinkageResult field -> the refs it wraps, so a
+# wrap set back on a result (dataclasses.replace) still yields its refs
+_WRAPS: "weakref.WeakKeyDictionary[ray.data.Dataset, list]" = weakref.WeakKeyDictionary()
+
+
+class _Blocks:
+    """A :class:`LinkageResult` field: block refs (or a Dataset that a
+    caller set), wrapped in a Dataset once, when first read."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, res, owner=None):
+        if res is None:
+            return None  # the field's default
+        value = res.__dict__[self.name]
+        if not isinstance(value, list):
+            return value
+        wrap = res.__dict__[self.name] = ray.data.from_arrow_refs(value)
+        _WRAPS[wrap] = value
+        return wrap
+
+    def __set__(self, res, value):
+        res.__dict__[self.name] = value
+
+
 @dataclass
 class LinkageResult:
-    clusters: "ray.data.Dataset"          # record_id, cluster_id, repo, path, sha256
-    scored_pairs: "ray.data.Dataset"      # id_a, id_b, features..., accepted
-    stats: dict[str, Any]
-    # materialized feature table (record_id, sig, emb, repo, path, sha256)
-    # — carried so run_linkage_incremental can link a delta batch against
+    clusters: "ray.data.Dataset" = _Blocks()  # record_id, cluster_id, repo, path, sha256
+    scored_pairs: "ray.data.Dataset" = _Blocks()  # id_a, id_b, features..., accepted
+    stats: dict[str, Any] = field(default_factory=dict)
+    # the feature table (record_id, sig, emb, repo, path, sha256) —
+    # carried so run_linkage_incremental can link a delta batch against
     # this result without re-featurizing the base corpus
-    features: "ray.data.Dataset | None" = None
+    features: "ray.data.Dataset | None" = _Blocks()
     # feature_token() of the config that built `features`; None for a
     # checkpoint committed without one
     feature_token: str | None = None
+
+    def blocks(self, name: str) -> list | None:
+        """The block refs of the field ``name``, read without a wrap."""
+        value = self.__dict__[name]
+        if isinstance(value, ray.data.Dataset):
+            return _WRAPS[value] if value in _WRAPS else value.to_arrow_refs()
+        return value
 
 
 def feature_token(cfg: LinkageConfig) -> str:
@@ -144,19 +178,20 @@ def run_linkage(
         share_featurizer(corpus_path, cfg, renames),
         parts=I.split_input(corpus_path, shuffle_partitions()),
     )
-    return _link(ckpt, features, cfg)
+    return _link(ckpt, features, ckpt.stats["features"]["rows"], cfg)
 
 
 def _link(
     ckpt: StageCheckpointer,
-    features: "ray.data.Dataset",
+    features: list,
+    rows: int,
     cfg: LinkageConfig,
     pair_filter=None,
     extra_edges: list = (),
 ) -> LinkageResult:
     """features -> scored pairs -> components -> clusters: the one plan
     behind :func:`run_linkage` and :func:`run_linkage_incremental`, with
-    or without a checkpoint dir.  ``features`` is the materialized
+    or without a checkpoint dir, over the refs of the ``rows``-row
     feature table: the P share blocks of :func:`share_featurizer`, a
     committed features stage read back, or base ∪ delta blocks.
 
@@ -192,14 +227,15 @@ def _link(
     ray.data.DataContext.get_current().shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
     join_parts = auto_join_partitions(cfg.join_partitions)
     sink = new_stats_sink()  # this run's token on the session sink
-    broadcast = features.count() <= cfg.scoring.broadcast_limit_rows
+    broadcast = rows <= cfg.scoring.broadcast_limit_rows
     ckpt.stats["plan"] = {
         "blocking": "band_major" if broadcast else "bucketed",
         "scoring": "broadcast" if broadcast else "partitioned",
     }
 
-    def build(_part) -> "ray.data.Dataset":  # scored is one part
+    def build(_part) -> list:  # scored is one part
         if broadcast:
+            B.check_pair_key_space(rows)
             return B.band_major_pairs(
                 features,
                 cfg.blocking,
@@ -209,14 +245,16 @@ def _link(
             )
         # built and restored features come in shuffle_partitions()
         # blocks; base ∪ delta features do not, so they coalesce
+        ds = ray.data.from_arrow_refs(features)
         pairs = B.candidate_pairs(
-            features,
+            ds,
             cfg.blocking,
             stats_sink=sink,
-            coalesce=features.num_blocks() != shuffle_partitions(),
+            coalesce=len(features) != shuffle_partitions(),
             pair_filter=pair_filter,
         )
-        return S.score_pairs(pairs, features, cfg.scoring, cfg.blocking, join_parts)
+        scored = S.score_pairs(pairs, ds, cfg.scoring, cfg.blocking, join_parts)
+        return scored.materialize().to_arrow_refs()
 
     # the counts are read once scored is built, so every emit task has
     # run and recorded them (bucketed: the in-task ray.get; band-major:
@@ -225,18 +263,15 @@ def _link(
     ckpt.stats["blocking_bands"] = ckpt.counts["scored"]
     ray.get(sink.drop.remote())
 
-    def edges() -> "ray.data.Dataset":
-        accepted = ray.remote(_accepted_edges)
-        return ray.data.from_arrow_refs(
-            [accepted.remote(b) for b in scored.to_arrow_refs()] + list(extra_edges)
-        )
-
-    comp = ckpt.through("components", lambda _: C.connected_components(edges(), cfg.clustering))
+    accepted = ray.remote(_accepted_edges)
+    edges = [accepted.remote(b) for b in scored] + list(extra_edges)
+    comp = ckpt.through("components", lambda _: C.component_blocks(edges, cfg.clustering))
     clusters = ckpt.through(
         "clusters",
-        lambda _: C.assign_clusters(
+        lambda _: C.assign_blocks(
             features,
             comp,
+            ckpt.stats["components"]["rows"],
             join_parts,
             broadcast_limit_rows=cfg.clustering.assign_broadcast_limit_rows,
             columns=["record_id", "repo", "path", "sha256"],
@@ -320,10 +355,10 @@ def run_linkage_incremental(
     features stage) — content bytes of the base corpus are never
     re-read."""
     cfg = cfg or LinkageConfig()
-    if base.features is None:
+    if base.blocks("features") is None:
         raise ValueError(
             "base LinkageResult carries no feature table; run run_linkage() "
-            "(which materializes features) or restore it from a checkpoint"
+            "(which carries features) or restore it from a checkpoint"
         )
     if base.feature_token != feature_token(cfg):
         raise ValueError(
@@ -338,7 +373,7 @@ def run_linkage_incremental(
     rows_ref, ids_ref = ray.remote(num_returns=2)(_delta_ids).remote(*new_blocks)
     new_rows = ray.get(rows_ref)
     # base ∪ delta is the two block lists side by side (no union execution)
-    blocks = base.features.to_arrow_refs()
+    blocks = list(base.blocks("features"))
     if new_rows:
         blocks += new_blocks
 
@@ -357,10 +392,11 @@ def run_linkage_incremental(
     label = ray.remote(_label_edges)
     res = _link(
         StageCheckpointer(None),
-        dataset_of(blocks),
+        blocks,
+        num_rows(blocks),
         cfg,
         pair_filter=touch,
-        extra_edges=[label.remote(b) for b in base.clusters.to_arrow_refs()],
+        extra_edges=[label.remote(b) for b in base.blocks("clusters")],
     )
     res.stats.update(
         incremental=True, new_rows=new_rows, exact=not any(res.stats["blocking_bands"].values())
@@ -392,30 +428,35 @@ def load_result_from_checkpoint(checkpoint_dir: str) -> LinkageResult:
     incremental needs are required (``features`` + ``clusters``);
     ``scored`` rides along when present.  Every stage's read tasks
     (state.manifest.stage_blocks) are submitted before any is waited on,
-    and the stages come back materialized."""
+    and the result holds their refs.  Assign writes one row per feature
+    row, so a checkpoint whose ``features`` and ``clusters`` manifests
+    count different rows mixes two commits: ``ValueError``."""
     from pathlib import Path
 
     from ..state.manifest import stage_blocks
 
     root = Path(checkpoint_dir)
-    blocks = {}
+    manifests = {}
     for stage in ("features", "clusters", "scored"):
-        data = root / stage / "data"
-        if (root / stage / "manifest.json").exists() and data.is_dir():
-            blocks[stage] = stage_blocks(data)
+        if (root / stage / "manifest.json").exists() and (root / stage / "data").is_dir():
+            manifests[stage] = json.loads((root / stage / "manifest.json").read_text())
         elif stage != "scored":
             raise FileNotFoundError(
                 f"checkpoint at {checkpoint_dir} has no committed '{stage}' stage"
             )
-    ds = {stage: dataset_of(refs) for stage, refs in blocks.items()}
+    rows = {stage: manifests[stage]["row_count"] for stage in ("features", "clusters")}
+    if rows["features"] != rows["clusters"]:
+        raise ValueError(
+            f"checkpoint at {checkpoint_dir} mixes two commits: its features stage "
+            f"holds {rows['features']} rows and its clusters stage {rows['clusters']}"
+        )
+    blocks = {stage: stage_blocks(root / stage / "data") for stage in manifests}
     return LinkageResult(
-        clusters=ds["clusters"],
-        scored_pairs=ds.get("scored"),
+        clusters=blocks["clusters"],
+        scored_pairs=blocks.get("scored"),
         stats={"restored_from": str(root)},
-        features=ds["features"],
-        feature_token=json.loads((root / "features" / "manifest.json").read_text()).get(
-            "feature_token"
-        ),
+        features=blocks["features"],
+        feature_token=manifests["features"].get("feature_token"),
     )
 
 
@@ -430,7 +471,8 @@ def save_result_checkpoint(res: LinkageResult, checkpoint_dir: str) -> dict:
     task per block, all stages' writes in one wave) under a temp root
     inside ``checkpoint_dir``, and the stages are swapped in only once
     all writes have finished, so a crash mid-write leaves the previous
-    checkpoint whole.  A restored result is already in the object store
+    checkpoint whole.  The stages are the result's block refs, not
+    wrapped.  A restored result is already in the object store
     (restores are not lazy), so it may be committed over the checkpoint
     it came from (restore -> incremental -> commit in place).  Each
     manifest records the result's feature token, which
@@ -445,11 +487,11 @@ def save_result_checkpoint(res: LinkageResult, checkpoint_dir: str) -> dict:
 
     from ..state.manifest import start_commit
 
-    stages = {"features": res.features, "clusters": res.clusters}
-    if res.scored_pairs is not None:
-        stages["scored"] = res.scored_pairs
-    for name, ds in stages.items():
-        if ds is None:
+    stages = {"features": res.blocks("features"), "clusters": res.blocks("clusters")}
+    if (scored := res.blocks("scored_pairs")) is not None:
+        stages["scored"] = scored
+    for name, blocks in stages.items():
+        if blocks is None:
             raise ValueError(f"result carries no '{name}' dataset")
     fingerprint = hashlib.sha256(
         repr(sorted(res.stats.items(), key=lambda kv: kv[0])).encode()
@@ -458,7 +500,7 @@ def save_result_checkpoint(res: LinkageResult, checkpoint_dir: str) -> dict:
     root.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".commit-", dir=root))
     try:
-        finish = {name: start_commit(staging / name, ds) for name, ds in stages.items()}
+        finish = {name: start_commit(staging / name, blocks) for name, blocks in stages.items()}
         out = {
             name: f(fingerprint, meta={"feature_token": res.feature_token})["row_count"]
             for name, f in finish.items()

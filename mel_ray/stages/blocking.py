@@ -548,36 +548,35 @@ def _unique_range(
 
 
 def band_major_pairs(
-    features: "ray.data.Dataset",
+    blocks: list,
     cfg: BlockingConfig,
     stats_sink=None,
     pair_filter=None,
     finish=None,
-) -> "ray.data.Dataset":
-    """features -> globally-unique candidate pairs (id_a < id_b) with no
-    Ray Data exchange: the plan for a feature table small enough to
-    broadcast (the scorer's ``broadcast_limit_rows``; Spark's broadcast
-    join and the reference's qid-remap table are the same idiom).
+) -> list:
+    """feature block refs -> globally-unique candidate pair block refs
+    (id_a < id_b) with no Ray Data exchange: the plan for a feature
+    table small enough to broadcast (the scorer's
+    ``broadcast_limit_rows``; Spark's broadcast join and the reference's
+    qid-remap table are the same idiom).
 
     One task ranks the records (:func:`record_index`).  G =
     ``min(num_bands, shuffle_partitions())`` tasks each read every
-    materialized feature block from the object store and own a
-    contiguous band range (:func:`_band_range_pairs`); their pair keys
-    are unique locally and cut into P = ``shuffle_partitions()``
-    disjoint ``id_a`` ranges of about equal pair counts, so P tasks, one
-    per range, make the pairs globally unique: duplicate pairs are never
-    shuffled.  Pairs and band accounting equal :func:`candidate_pairs`'s;
-    ``stats_sink`` and ``pair_filter`` mean the same as in
-    :func:`bucket_pairs` (counts are keyed by each task's first band).
-    ``finish((rank_a, rank_b), (order, sorted_ids)) -> pa.Table``, when
-    given, runs inside each id-range task on the ranks of its unique
-    pairs (ascending), and the dataset holds its outputs: the linkage
-    plan scores the pairs there."""
+    feature block from the object store and own a contiguous band range
+    (:func:`_band_range_pairs`); their pair keys are unique locally and
+    cut into P = ``shuffle_partitions()`` disjoint ``id_a`` ranges of
+    about equal pair counts, so P tasks, one per range, make the pairs
+    globally unique: duplicate pairs are never shuffled.  Pairs and band
+    accounting equal :func:`candidate_pairs`'s; ``stats_sink`` and
+    ``pair_filter`` mean the same as in :func:`bucket_pairs` (counts are
+    keyed by each task's first band).  ``finish((rank_a, rank_b),
+    (order, sorted_ids)) -> pa.Table``, when given, runs inside each
+    id-range task on the ranks of its unique pairs (ascending), and the
+    P blocks are its outputs: the linkage plan scores the pairs there.
+    The caller checks :func:`check_pair_key_space`."""
     from ..util import shuffle_partitions
 
-    check_pair_key_space(features.count())
     n_tasks, n_ranges = min(cfg.num_bands, shuffle_partitions()), shuffle_partitions()
-    blocks = features.to_arrow_refs()
     # whole-CPU tasks: they queue on the warm worker pool (a fractional
     # request makes the raylet start extra workers for them); a task
     # blocked in ray.get gives its CPU back, so they cannot deadlock
@@ -596,9 +595,7 @@ def band_major_pairs(
             # order, so a later totals call from here sees this entry
             stats_sink.put.remote("blocking", lo, counts)
         slices.append(parts)
-    return ray.data.from_arrow_refs(
-        [
-            unique.remote(finish, order, sorted_ids, *[s[r] for s in slices])
-            for r in range(n_ranges)
-        ]
-    )
+    return [
+        unique.remote(finish, order, sorted_ids, *[s[r] for s in slices])
+        for r in range(n_ranges)
+    ]

@@ -147,35 +147,33 @@ def _solve_small(*parts: pa.Table) -> pa.Table:
 def connected_components(
     edges: "ray.data.Dataset", cfg: ClusteringConfig
 ) -> "ray.data.Dataset":
-    """edges(u, v) -> labels(record_id, cluster_id) for all nodes with edges.
+    """:func:`component_blocks` over a Dataset, executed once."""
+    return ray.data.from_arrow_refs(component_blocks(edges.materialize().to_arrow_refs(), cfg))
 
-    Two physical strategies behind one semantic:
+
+def component_blocks(edges: list, cfg: ClusteringConfig) -> list:
+    """edge block refs (u, v) -> label block refs (record_id, cluster_id)
+    for all nodes with edges.  Two physical strategies, one semantic:
 
     * small edge sets (<= ``cfg.small_graph_limit``): one Ray task runs
       the vectorized union-find over the edge blocks — no shuffle;
-    * large edge sets: alternating star contraction, one bucketed
-      groupby per half-round, each round materialized (the edge set is
-      orders of magnitude smaller than the corpus).  Convergence =
-      unchanged (count, xor) multiset fingerprint; the xor aggregate is
-      skipped whenever the (free, metadata-only) count already differs.
+    * large edge sets: alternating star contraction over a Dataset of
+      the edges, one bucketed groupby per half-round, each round
+      materialized (the edge set is orders of magnitude smaller than
+      the corpus).  Convergence = unchanged (count, xor) multiset
+      fingerprint; the xor aggregate is skipped whenever the (free,
+      metadata-only) count already differs.
     """
-    # one execution of the (lazy) edge input: count() and the solve below
-    # would otherwise each run it, and an incremental run's label edges
-    # read the base cluster table
-    edges = edges.materialize()
-    n_edges = edges.count()
-    if n_edges == 0:
-        return ray.data.from_items([]).map_batches(
-            lambda b: pa.table(
-                {"record_id": pa.array([], pa.int64()), "cluster_id": pa.array([], pa.int64())}
-            ),
-            batch_format="pyarrow",
-        )
-    if n_edges <= cfg.small_graph_limit:
-        # one whole-CPU task over the edge blocks: no repartition exchange
-        return ray.data.from_arrow_refs([ray.remote(_solve_small).remote(*edges.to_arrow_refs())])
+    from ..util import num_rows
 
-    cur = edges
+    n_edges = num_rows(edges)
+    if n_edges == 0:
+        none = pa.array([], pa.int64())
+        return [ray.put(pa.table({"record_id": none, "cluster_id": none}))]
+    if n_edges <= cfg.small_graph_limit:
+        return [ray.remote(_solve_small).remote(*edges)]
+
+    cur = ray.data.from_arrow_refs(edges)
     prev: tuple[int, int] | None = None
     for _ in range(cfg.max_rounds):
         cur = _star_round(cur, cfg, large=True).materialize()
@@ -199,8 +197,12 @@ def connected_components(
     labels = cur.map_batches(to_labels, batch_format="pyarrow")
     # a member may appear with several roots only pre-convergence; min() is
     # both the fixpoint and the deterministic tie-break
-    return labels.groupby("record_id").min("cluster_id").map_batches(
-        lambda t: t.rename_columns(["record_id", "cluster_id"]), batch_format="pyarrow"
+    return (
+        labels.groupby("record_id")
+        .min("cluster_id")
+        .map_batches(lambda t: t.rename_columns(["record_id", "cluster_id"]), batch_format="pyarrow")
+        .materialize()
+        .to_arrow_refs()
     )
 
 
@@ -235,10 +237,27 @@ def assign_clusters(
     component_labels: "ray.data.Dataset",
     num_partitions: int,
     broadcast_limit_rows: int = 20_000_000,
-    columns: list[str] | None = None,
 ) -> "ray.data.Dataset":
-    """All records [their ``columns``] ⋈ component labels (left outer);
-    singletons get their own id.
+    """:func:`assign_blocks` over Datasets, each executed once (a lazy
+    Dataset's ``to_arrow_refs()`` runs its plan twice)."""
+    records, labels = records.materialize(), component_labels.materialize()
+    refs = assign_blocks(
+        records.to_arrow_refs(), labels.to_arrow_refs(), labels.count(), num_partitions,
+        broadcast_limit_rows,
+    )
+    return ray.data.from_arrow_refs(refs)
+
+
+def assign_blocks(
+    records: list,
+    labels: list,
+    n_labels: int,
+    num_partitions: int,
+    broadcast_limit_rows: int,
+    columns: list[str] | None = None,
+) -> list:
+    """record block refs [their ``columns``] ⋈ the refs of ``n_labels``
+    component labels (left outer); singletons get their own id.
 
     The label table only holds non-singleton nodes (≪ corpus), so the
     default strategy is a broadcast map-side join: one task assembles
@@ -248,23 +267,21 @@ def assign_clusters(
     store), with no shuffle and no Ray Data execution.  A partitioned
     left-outer ``Dataset.join`` takes over past the broadcast
     threshold."""
-    n = component_labels.count()
-    if n <= broadcast_limit_rows:
+    if n_labels <= broadcast_limit_rows:
         # whole-CPU tasks on the warm pool; an assign task waiting on
         # the labels takes no CPU until they are ready (rule:
         # blocking.py band_major_pairs)
-        labels = ray.remote(_assemble_labels).remote(*component_labels.to_arrow_refs())
+        table = ray.remote(_assemble_labels).remote(*labels)
         assign = ray.remote(_assign_block)
-        return ray.data.from_arrow_refs(
-            [assign.remote(labels, b, columns) for b in records.to_arrow_refs()]
-        )
+        return [assign.remote(table, b, columns) for b in records]
 
-    if columns is not None:
-        records = records.select_columns(columns)
     from .scoring import JOIN_AGG_ARGS
 
-    joined = records.join(
-        component_labels,
+    left = ray.data.from_arrow_refs(records)
+    if columns is not None:
+        left = left.select_columns(columns)
+    joined = left.join(
+        ray.data.from_arrow_refs(labels),
         join_type="left_outer",
         num_partitions=num_partitions,
         on=("record_id",),
@@ -278,4 +295,4 @@ def assign_clusters(
         i = batch.schema.get_field_index("cluster_id")
         return batch.set_column(i, "cluster_id", pa.compute.cast(filled, pa.int64()))
 
-    return joined.map_batches(fill, batch_format="pyarrow")
+    return joined.map_batches(fill, batch_format="pyarrow").materialize().to_arrow_refs()

@@ -19,7 +19,7 @@ fractional-CPU aggregators (several join stages + an actor pool must
 coexist on one node without starving).  That is the partitioned plan,
 above ``ScoringConfig.broadcast_limit_rows`` feature rows; at or under
 it the same cascade runs without a join, over zero-copy views of the
-materialized feature blocks (the broadcast section below).
+feature blocks in the object store (the broadcast section below).
 """
 
 from __future__ import annotations
@@ -381,11 +381,11 @@ def _score_ids(block_refs: tuple, scoring: ScoringConfig, pairs: pa.Table) -> pa
     )
 
 
-def broadcast_scorer(features: "ray.data.Dataset", scoring: ScoringConfig):
+def broadcast_scorer(features: list, scoring: ScoringConfig):
     """``finish`` of blocking.band_major_pairs: ``(rank_a, rank_b)``
     under the plan's ``(order, sorted_ids)`` record index -> scored
-    pairs, over views of ``features``' materialized blocks (the blocks
-    the index was built from, in the same order).
+    pairs, over views of the feature blocks at the refs ``features``
+    (the blocks the index was built from, in the same order).
 
     STATELESS TASKS, not an actor pool.  Round-5 profile (sf0.1): the
     actor-pool form spent 10-16 s of WALL at every cpu count on fresh
@@ -394,7 +394,7 @@ def broadcast_scorer(features: "ray.data.Dataset", scoring: ScoringConfig):
     most ONCE per worker process (_VIEWS_CACHE), from the index the plan
     already built.  One task per id range: bundling ranges up to a batch
     size left a stage of a few large tasks on 2-3 of 4 cores."""
-    return functools.partial(_score_ranks, tuple(features.to_arrow_refs()), scoring)
+    return functools.partial(_score_ranks, tuple(features), scoring)
 
 
 def score_pairs_auto(
@@ -406,8 +406,8 @@ def score_pairs_auto(
     fan_out: bool = True,
 ) -> "ray.data.Dataset":
     """Join-strategy selection: broadcast when the feature side is small
-    (features is materialized by the stage checkpointer, so count() is a
-    metadata read), partitioned cascade otherwise.  The broadcast branch
+    (a materialized ``features``, so count() is a metadata read),
+    partitioned cascade otherwise.  The broadcast branch
     scores each pair block in one task over the same views as
     :func:`broadcast_scorer`, ranking its record ids there; ``fan_out``
     repartitions the pairs to ~3x cluster_cpus blocks first (an

@@ -1,35 +1,39 @@
-"""Per-stage checkpointed Parquet outputs + lineage manifests.
+"""Per-stage checkpointed Parquet outputs + lineage manifests, over
+block refs: a stage is a list of block refs, in and out
+(``StageCheckpointer.through`` takes a build that returns refs and
+returns the stage's refs, built or restored; :func:`start_commit` writes
+refs).  No Dataset is made here.
 
 Recast of the reference's idempotence contract — the shell loop's
 "skip stage if its dir is non-empty"
 (``src/scripts/train/all_langs_no_slurm.sh:47-110``) — made atomic and
-verifiable.  A stage is made of parts (:meth:`StageCheckpointer.through`):
-the features stage has one per input share of
-``stages.ingest.split_input``, every other stage one.  Each part is
-written to a temp dir that a rename publishes as ``data/part-{pid}``, and
-a journal line (``journal.jsonl``, fsynced) commits it.  The manifest,
-written last, commits the stage: it records the input fingerprint,
-per-part row counts and any side counts of the stage (the ``scored``
-stage's band accounting).  A rerun with the same input fingerprint reads
-the stage back from Parquet instead of recomputing it.
+verifiable.  A stage is made of parts: the features stage has one per
+input share of ``stages.ingest.split_input``, every other stage one.
+Each part is written to a temp dir that a rename publishes as
+``data/part-{pid}``, and a journal line (``journal.jsonl``, fsynced)
+commits it.  The manifest, written last, commits the stage: it records
+the input fingerprint, per-part row counts and any side counts of the
+stage (the ``scored`` stage's band accounting).  A rerun with the same
+input fingerprint reads the stage back from Parquet instead of
+recomputing it.
 
 Partition-level resume (SURVEY.md §3.3 "Ray recast of the lifecycle"): a
 torn run (no manifest) keeps the parts its journal lists under the same
 fingerprint and the same part, so a partial stage resumes at its first
 missing part, and a rerun under another share plan or input rebuilds
 instead of mixing two.  The journal is then rewritten to hold only those
-parts, so no stale record outlives its part dir.  The manifest lists the parts individually so an external
-scheduler can verify / re-ship any subset.
+parts, so no stale record outlives its part dir.  The manifest lists the
+parts individually so an external scheduler can verify / re-ship any
+subset.
 
-Writes and reads are plain whole-CPU Ray tasks over block refs, not
-Ray Data executions: a part is written as one Parquet file per block
-with rows (:func:`start_commit` commits a whole stage the same way, for
-``save_result_checkpoint``; a stage without rows keeps one schema-only
-file, so it restores with its columns), and a stage is read back by P =
-``shuffle_partitions()`` tasks over the shares of
+Writes and reads are whole-CPU plain tasks: a part is written as one
+Parquet file per block with rows (a stage without rows keeps one
+schema-only file, so it restores with its columns), and a stage is read
+back by P = ``shuffle_partitions()`` tasks over the shares of
 ``stages.ingest.split_input``, one block with one chunk per column each
 (:func:`stage_blocks`).  Any file names are read, so a stage written by
-Ray Data's ``write_parquet`` restores the same.
+Ray Data's ``write_parquet`` restores the same.  Row counts come from
+the manifest, the write tasks or, streamed, one count task.
 """
 
 from __future__ import annotations
@@ -44,13 +48,15 @@ from typing import Any, Callable
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-import ray.data
+import ray
 
 from ..stages import ingest as I
-from ..util import dataset_of, shuffle_partitions
+from ..util import num_rows, shuffle_partitions
 
 
 def _input_fingerprint(paths: list[str]) -> str:
+    """Each input file's path, size and mtime (ns), hashed: an input
+    rewritten in place, even at the same size, rebuilds its stages."""
     parts = []
     flat: list[str] = []
     for p in paths:
@@ -59,17 +65,12 @@ def _input_fingerprint(paths: list[str]) -> str:
             flat.extend(str(x) for x in p)
         else:
             flat.append(p)
-    for p in flat:
-        p = Path(p)
-        if p.is_file():
-            st = p.stat()
-            parts.append(f"{p}:{st.st_size}")
-        elif p.is_dir():
-            for f in sorted(p.rglob("*.parquet")):
-                st = f.stat()
-                parts.append(f"{f}:{st.st_size}")
-        else:
+    for p in map(Path, flat):
+        if not p.exists():
             parts.append(str(p))
+        for f in [p] if p.is_file() else sorted(p.rglob("*.parquet")):
+            st = f.stat()
+            parts.append(f"{f}:{st.st_size}:{st.st_mtime_ns}")
     import hashlib
 
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
@@ -117,32 +118,23 @@ def _write_blocks(out_dir: Path, blocks: list) -> Callable[[], list[dict]]:
     return wait
 
 
-def start_commit(stage_dir: Path, ds: "ray.data.Dataset") -> Callable[..., dict]:
-    """Submit the writes of ``ds`` as the stage at the new or emptied
-    ``stage_dir`` -> ``finish(fingerprint, counts=None, meta=None,
-    started=None)``, which waits for them and returns the manifest.
-    Submitting every stage before finishing any writes them in one wave.
+def start_commit(stage_dir: Path, blocks: list) -> Callable[..., dict]:
+    """Submit the writes of the block refs ``blocks`` as the stage at the
+    new or emptied ``stage_dir`` -> ``finish(fingerprint, meta=None)``,
+    which waits for them and returns the manifest.  Submitting every
+    stage before finishing any writes them in one wave.
 
     The data lands in a temp dir, the rename publishes it, and the
-    manifest, written last, is the commit point.  ``counts()`` is called
-    after the writes, so it sees every task that built the data, and its
-    dict is kept in the manifest; so are the keys of ``meta``.
-    ``wall_sec`` is timed from ``started`` (default: this call)."""
+    manifest, written last, is the commit point; it also holds the keys
+    of ``meta``.  ``wall_sec`` is timed from this call."""
     t0 = time.time()
     tmp = stage_dir / ".tmp-data"
-    wait = _write_blocks(tmp, ds.to_arrow_refs())
+    wait = _write_blocks(tmp, blocks)
 
-    def finish(
-        fingerprint: str,
-        counts: Callable[[], dict] | None = None,
-        meta: dict | None = None,
-        started: float | None = None,
-    ) -> dict:
+    def finish(fingerprint: str, meta: dict | None = None) -> dict:
         partitions = wait()
         os.rename(tmp, stage_dir / "data")
-        return _write_manifest(
-            stage_dir, fingerprint, partitions, started or t0, counts() if counts else None, meta
-        )
+        return _write_manifest(stage_dir, fingerprint, partitions, t0, meta=meta)
 
     return finish
 
@@ -152,7 +144,6 @@ def _write_manifest(
     fingerprint: str,
     partitions: list[dict],
     started: float,
-    counts: dict | None = None,
     meta: dict | None = None,
 ) -> dict:
     """Write the manifest that commits the stage at ``stage_dir`` -> it."""
@@ -164,8 +155,6 @@ def _write_manifest(
         "wall_sec": round(time.time() - started, 3),
         **(meta or {}),
     }
-    if counts is not None:
-        manifest["counts"] = counts
     (stage_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
     return manifest
 
@@ -214,28 +203,27 @@ class StageCheckpointer:
     def through(
         self,
         name: str,
-        build: Callable[[Any], "ray.data.Dataset | list"],
+        build: Callable[[Any], list],
         parts: list = (None,),
         counts: Callable[[], dict] | None = None,
-    ) -> "ray.data.Dataset":
+    ) -> list:
         """Run-or-restore the stage ``name`` made of ``parts``, with
         PER-PART resume (SURVEY.md §3.3 "a partial stage resumes at its
         first missing partition"; the reference's per-shard idempotence,
-        ``all_langs_no_slurm.sh:47-110``) -> the materialized stage.
+        ``all_langs_no_slurm.sh:47-110``) -> the stage's block refs.
 
-        ``build(part)`` submits one part's build and returns its blocks:
-        a Dataset (a one-part stage) or block refs.  It must be
-        deterministic per part (record ids are content fingerprints, not
-        sequence numbers).  Every missing part is submitted, and with a
-        checkpoint dir its writes too, before the first one commits, so
-        the parts build side by side.  Each part then commits in part
-        order: written to a temp dir, renamed to ``part-{pid}``, and a
-        journal line appended and fsynced.  A torn run keeps each
-        journaled part whose record has this run's fingerprint and part,
-        and rebuilds the rest; the manifest, written last, commits the
-        stage, and a rerun under the same fingerprint restores it.  A
-        build returns the blocks it built; only a stage restored in whole
-        or in part is read from its files.
+        ``build(part)`` submits one part's build and returns its block
+        refs.  It must be deterministic per part (record ids are content
+        fingerprints, not sequence numbers).  Every missing part is
+        submitted, and with a checkpoint dir its writes too, before the
+        first one commits, so the parts build side by side.  Each part
+        then commits in part order: written to a temp dir, renamed to
+        ``part-{pid}``, and a journal line appended and fsynced.  A torn
+        run keeps each journaled part whose record has this run's
+        fingerprint and part, and rebuilds the rest; the manifest, written
+        last, commits the stage, and a rerun under the same fingerprint
+        restores it.  A build returns the blocks it built; only a stage
+        restored in whole or in part is read from its files.
 
         ``counts()``, read once the stage's writes are done, is kept with
         it (journal and manifest) and lands in ``self.counts[name]`` on
@@ -251,29 +239,21 @@ class StageCheckpointer:
             manifest = json.loads(manifest_path.read_text())
             if manifest.get("input_fingerprint") == self.fingerprint:
                 self.stats[name] = {"restored": True, "rows": manifest["row_count"]}
-                if counts is not None:
-                    self.counts[name] = manifest["counts"]
-                return dataset_of(stage_blocks(stage_dir / "data"))
+                self.counts[name] = manifest.get("counts")
+                return stage_blocks(stage_dir / "data")
             shutil.rmtree(stage_dir)  # committed for another input or config
         done = self._journaled(stage_dir, parts) if stage_dir else {}
         built = {pid: build(p) for pid, p in enumerate(parts) if pid not in done}
-        ds = None
-        if len(built) == 1 and isinstance(built.get(0), ray.data.Dataset):
-            # the stage boundary: consumed by several downstream branches
-            # and iterative stages, a lazy stage would re-execute upstream
-            ds = built[0].materialize()
-            built[0] = ds.to_arrow_refs()
         blocks = [b for refs in built.values() for b in refs]
         if stage_dir is None:
-            ds = dataset_of(blocks) if ds is None else ds
+            # the count task waits for the blocks, so wall_sec covers the build
             self.stats[name] = {
                 "restored": False,
-                "rows": ds.count(),
+                "rows": num_rows(blocks),
                 "wall_sec": round(time.time() - t0, 3),
             }
-            if counts is not None:
-                self.counts[name] = counts()
-            return ds
+            self.counts[name] = counts() if counts else None
+            return blocks
 
         # the writes are submitted before anything waits on the blocks, so
         # each block is written as soon as it is built
@@ -303,8 +283,7 @@ class StageCheckpointer:
             self.fingerprint,
             [{"file": done[p]["part"], "rows": done[p]["rows"], "done": True} for p in range(len(parts))],
             t0,
-            done[0].get("counts"),
-            self.meta,
+            {**self.meta, "counts": done[0]["counts"]} if counts else self.meta,
         )
         self.stats[name] = {
             "restored": not built,
@@ -313,11 +292,8 @@ class StageCheckpointer:
             "partitions_restored": len(parts) - len(built),
             "partitions_built": len(built),
         }
-        if counts is not None:
-            self.counts[name] = manifest["counts"]
-        if ds is None:
-            ds = dataset_of(blocks if len(built) == len(parts) else stage_blocks(data_dir))
-        return ds
+        self.counts[name] = manifest.get("counts")
+        return blocks if len(built) == len(parts) else stage_blocks(data_dir)
 
     def _journaled(self, stage_dir: Path, parts: list) -> dict[int, dict]:
         """The journal records of the parts of ``stage_dir`` that a torn

@@ -377,7 +377,7 @@ def doc_dedup_keep(sf_dir: str, threshold: float = 0.7):
     edges = pairs.map_batches(
         lambda t: pa.table({"u": t["doc_id_a"], "v": t["doc_id_b"]}),
         batch_format="pyarrow",
-    ).materialize()  # consumed twice inside connected_components (count + rounds)
+    ).materialize()  # consumed twice: the count below and connected_components
 
     def hash_batch(t: pa.Table) -> pa.Table:
         from .functions.hashing import sha256_hex

@@ -140,15 +140,18 @@ def auto_pool_size(requested: int | None) -> int:
     return max(2, cluster_cpus() // 4)
 
 
-def dataset_of(refs: list):
-    """Block refs -> a materialized Dataset over them.  Materialized, so
-    each later ``to_arrow_refs()`` is a lookup: on a bare
-    ``ray.data.from_arrow_refs`` dataset every such call runs a Ray Data
-    execution (about 18 ms for 8 blocks on 4 CPUs, against 7 ms once for
-    the ``materialize()``)."""
-    import ray.data
+def _num_rows(*blocks) -> int:
+    """(worker task) blocks -> their row count."""
+    return sum(t.num_rows for t in blocks)
 
-    return ray.data.from_arrow_refs(refs).materialize()
+
+def num_rows(refs: list) -> int:
+    """Row count of the blocks at ``refs``, from one whole-CPU task over
+    them (the plain-task rule of blocking.py ``band_major_pairs``),
+    waited on: no Ray Data metadata task per block."""
+    import ray
+
+    return ray.get(ray.remote(_num_rows).remote(*refs))
 
 
 def drop_schemaless_blocks(ds):

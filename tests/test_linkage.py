@@ -163,9 +163,10 @@ def test_partitioned_scoring_path_matches_broadcast(tiny_corpus, tmp_path):
     and without a checkpoint dir: band-major (id-range tasks score their
     own pairs) and partitioned: broadcast_limit_rows=0 forces every
     selector to the partitioned branch, and blocking from band-major to
-    bucketed; each run records its choices, and no run commits a pair
-    stage.  Then the same for an incremental delta, whose pairs pass the
-    delta-touch filter."""
+    bucketed, and small_graph_limit=0 runs connected components as star
+    contraction over a Dataset of the edge refs; each run records its
+    choices, and no run commits a pair stage.  Then the same for an
+    incremental delta, whose pairs pass the delta-touch filter."""
     from dataclasses import replace
     from pathlib import Path
 
@@ -174,7 +175,7 @@ def test_partitioned_scoring_path_matches_broadcast(tiny_corpus, tmp_path):
     base = LinkageConfig()
     forced = LinkageConfig(
         scoring=replace(base.scoring, broadcast_limit_rows=0),
-        clustering=replace(base.clustering, assign_broadcast_limit_rows=0),
+        clustering=replace(base.clustering, assign_broadcast_limit_rows=0, small_graph_limit=0),
     )
     checkpointed = LinkageConfig(checkpoint_dir=str(tmp_path / "ck"))
     partitioned_ck = replace(forced, checkpoint_dir=str(tmp_path / "ck_partitioned"))
@@ -486,9 +487,11 @@ def test_checkpoint_written_by_ray_data_restores_equal(tiny_corpus, tmp_path):
 @pytest.mark.usefixtures("ray_session")
 def test_daily_loop_runs_no_ray_data_execution(tiny_corpus, tmp_path, monkeypatch):
     """The daily loop — link, save, load, link a delta incrementally,
-    save — reads, writes, maps and unions no Ray Data dataset: every
-    step is plain tasks over block refs.  Its clusters equal a
-    from-scratch run's."""
+    save — reads, writes, maps and unions no Ray Data dataset, and
+    neither wraps block refs in one nor materializes one: every step is
+    plain tasks over block refs.  So does a streaming run whose fields
+    are never read.  Its clusters, read once the patches are undone,
+    equal a from-scratch run's."""
     from pathlib import Path
 
     import ray.data
@@ -507,18 +510,47 @@ def test_daily_loop_runs_no_ray_data_execution(tiny_corpus, tmp_path, monkeypatc
         return call
 
     files = sorted(str(f) for f in (Path(tiny_corpus) / "files").rglob("*.parquet"))
-    monkeypatch.setattr(ray.data, "read_parquet", refuse("read_parquet"))
-    for name in ("write_parquet", "map_batches", "union"):
+    for name in ("read_parquet", "from_arrow_refs"):
+        monkeypatch.setattr(ray.data, name, refuse(name))
+    for name in ("write_parquet", "map_batches", "union", "materialize"):
         monkeypatch.setattr(ray.data.Dataset, name, refuse(name))
     save_result_checkpoint(run_linkage(files[:-1]), str(tmp_path / "base"))
     inc = run_linkage_incremental(load_result_from_checkpoint(str(tmp_path / "base")), files[-1:])
     written = save_result_checkpoint(inc, str(tmp_path / "next"))
-    got = _sorted_rows(load_result_from_checkpoint(str(tmp_path / "next")).clusters, ["record_id"])
+    back = load_result_from_checkpoint(str(tmp_path / "next"))
+    streamed = run_linkage(str(tiny_corpus / "files"))
     monkeypatch.undo()
 
     want = _sorted_rows(run_linkage(str(tiny_corpus / "files")).clusters, ["record_id"])
     assert written["clusters"] == len(want) > 0
-    assert got.select(want.column_names).equals(want)
+    assert _sorted_rows(back.clusters, ["record_id"]).select(want.column_names).equals(want)
+    assert _sorted_rows(streamed.clusters, ["record_id"]).equals(want)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_restore_refuses_mixed_commit(tiny_corpus, tmp_path):
+    """A checkpoint whose features stage comes from another commit than
+    its clusters stage (new features next to old clusters, as a commit
+    killed between its stage swaps leaves) is refused: assign writes one
+    row per feature row, so the two manifests' row counts differ."""
+    import shutil
+    from pathlib import Path
+
+    from mel_ray.pipelines.linkage import (
+        load_result_from_checkpoint,
+        run_linkage,
+        save_result_checkpoint,
+    )
+
+    files = sorted(str(f) for f in (Path(tiny_corpus) / "files").rglob("*.parquet"))
+    old, new = tmp_path / "old", tmp_path / "new"
+    save_result_checkpoint(run_linkage(files[:-1]), str(old))
+    save_result_checkpoint(run_linkage(files), str(new))
+    assert load_result_from_checkpoint(str(old)).feature_token is not None
+    shutil.rmtree(old / "features")
+    shutil.copytree(new / "features", old / "features")
+    with pytest.raises(ValueError, match="mixes two commits"):
+        load_result_from_checkpoint(str(old))
 
 
 def _planted(tiny_corpus, n: int = 100):
@@ -575,6 +607,7 @@ def test_band_major_pairs_equal_bucketed(tiny_corpus, tmp_path, limits):
 
     cfg = replace(LinkageConfig(), blocking=replace(LinkageConfig().blocking, **limits))
     feats = B.featurize(I.ingest(I.read_corpus(str(corpus))), cfg).materialize()
+    blocks = feats.to_arrow_refs()  # band-major takes and returns block refs
     f = feats.to_pandas()
     empty_ids = set(f.record_id[f.path.str.startswith("empty")])
     assert len(empty_ids) == 6
@@ -583,7 +616,10 @@ def test_band_major_pairs_equal_bucketed(tiny_corpus, tmp_path, limits):
         got = []
         for build in (B.band_major_pairs, B.candidate_pairs):
             sink = new_stats_sink()
-            refs = build(feats, cfg.blocking, stats_sink=sink, pair_filter=pair_filter).to_arrow_refs()
+            if build is B.band_major_pairs:
+                refs = build(blocks, cfg.blocking, stats_sink=sink, pair_filter=pair_filter)
+            else:
+                refs = build(feats, cfg.blocking, stats_sink=sink, pair_filter=pair_filter).to_arrow_refs()
             tables = [t for t in ray.get(refs) if len(t)]
             pairs = [p for t in tables for p in zip(t["id_a"].to_pylist(), t["id_b"].to_pylist())]
             got.append((sorted(pairs), B.band_totals(sink)))
@@ -834,7 +870,7 @@ def test_featurize_input_split_is_exact(tiny_corpus, tmp_path, case):
     from mel_ray.pipelines.linkage import featurize_blocks
     from mel_ray.stages import blocking as B
     from mel_ray.stages import ingest as I
-    from mel_ray.util import dataset_of, shuffle_partitions
+    from mel_ray.util import shuffle_partitions
 
     cfg = LinkageConfig()
     path, files = _write_inputs(tiny_corpus, tmp_path, case)
@@ -844,9 +880,9 @@ def test_featurize_input_split_is_exact(tiny_corpus, tmp_path, case):
         assert len(files) > shuffle_partitions()
     assert any(pq.read_schema(f).metadata for f in files)
 
-    got = dataset_of(featurize_blocks(path, cfg))
-    assert got.num_blocks() == shuffle_partitions()
-    blocks = ray.get(got.to_arrow_refs())
+    got = featurize_blocks(path, cfg)
+    assert len(got) == shuffle_partitions()
+    blocks = ray.get(got)
     assert all(t.schema.metadata is None for t in blocks)
     got_t = pa.concat_tables(blocks).sort_by("record_id")
     records = I.ingest(I.read_corpus(path)).to_arrow_refs()
@@ -861,6 +897,6 @@ def test_featurize_input_split_is_exact(tiny_corpus, tmp_path, case):
 
     if case != "fewer_files":
         # a zero-row delta: P typed empty blocks
-        empty = dataset_of(featurize_blocks([files[-1] if case == "more_files" else files[2]], cfg))
-        assert empty.count() == 0 and empty.num_blocks() == shuffle_partitions()
-        assert empty.schema().names == got_t.column_names
+        empty = ray.get(featurize_blocks([files[-1] if case == "more_files" else files[2]], cfg))
+        assert len(empty) == shuffle_partitions() and not any(t.num_rows for t in empty)
+        assert all(t.column_names == got_t.column_names for t in empty)

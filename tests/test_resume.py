@@ -320,7 +320,7 @@ def test_empty_stage_keeps_its_schema(tmp_path):
 
     cols = {"id_a": pa.int64(), "id_b": pa.int64(), "score": pa.float64(), "accepted": pa.bool_()}
     empty = pa.schema(cols).empty_table()
-    scored = ray.data.from_arrow_refs([ray.put(empty), ray.put(empty)])
+    scored = [ray.put(empty), ray.put(empty)]
 
     manifest = start_commit(tmp_path / "direct" / "scored", scored)("fp")
     assert manifest["row_count"] == 0
@@ -334,9 +334,10 @@ def test_empty_stage_keeps_its_schema(tmp_path):
     restored = StageCheckpointer(str(tmp_path / "ck"), fingerprint_inputs=["no-input"])
     again = restored.through("scored", lambda _: pytest.fail("a committed stage is rebuilt"))
     assert not ckpt.stats["scored"]["restored"] and restored.stats["scored"]["restored"]
-    for ds in (built, again):
-        assert ds.count() == 0
-        assert [(f.name, f.type) for f in pa.schema(ds.schema().base_schema)] == list(cols.items())
+    for refs in (built, again):
+        tables = ray.get(refs)
+        assert tables and not any(t.num_rows for t in tables)
+        assert all([(f.name, f.type) for f in t.schema] == list(cols.items()) for t in tables)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -346,19 +347,61 @@ def test_stage_wall_covers_the_builder(tmp_path):
     import time
 
     import pyarrow as pa
-    import ray.data
+    import ray
 
     from mel_ray.state.manifest import StageCheckpointer
 
     def slow_builder(_part):
         time.sleep(0.5)
-        return ray.data.from_arrow(pa.table({"x": [1, 2, 3]}))
+        return [ray.put(pa.table({"x": [1, 2, 3]}))]
 
     ckpt = StageCheckpointer(str(tmp_path / "ck"), fingerprint_inputs=["no-input"])
-    assert ckpt.through("slow", slow_builder).count() == 3
+    assert sum(t.num_rows for t in ray.get(ckpt.through("slow", slow_builder))) == 3
     manifest = json.loads((tmp_path / "ck" / "slow" / "manifest.json").read_text())
     assert manifest["wall_sec"] >= 0.5
     assert ckpt.stats["slow"]["wall_sec"] == manifest["wall_sec"]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_input_rewritten_in_place_at_same_size_rebuilds(tmp_path, tiny_corpus):
+    """An input file rewritten in place at the same size rebuilds its
+    stages: the input fingerprint keys each file on its mtime as well as
+    its path and size.  The file is uncompressed Parquet without
+    dictionary pages or statistics, so a same-length edit of one row's
+    content leaves every other byte where it was."""
+    import hashlib
+    from pathlib import Path
+
+    import pyarrow.parquet as pq
+
+    from mel_ray.config import LinkageConfig
+    from mel_ray.pipelines.linkage import run_linkage
+
+    t = pq.read_table(sorted(Path(tiny_corpus / "files").rglob("*.parquet"))[0])
+    src = tmp_path / "in" / "part-0.parquet"
+    src.parent.mkdir()
+    pq.write_table(t, src, compression="none", use_dictionary=False, write_statistics=False)
+    raw = src.read_bytes()
+    row = next(i for i, c in enumerate(t["content"].to_pylist()) if raw.count(c.encode()) == 1)
+    old = t["content"][row].as_py().encode()
+    new = old[:-1] + (b"x" if old[-1:] != b"x" else b"y")
+    old_sha, new_sha = hashlib.sha256(old).hexdigest(), hashlib.sha256(new).hexdigest()
+    cfg = LinkageConfig(checkpoint_dir=str(tmp_path / "ck"))
+
+    def shas(res) -> set:
+        return set(res.features.to_pandas()["sha256"])
+
+    first = run_linkage(str(src.parent), cfg)
+    assert old_sha in shas(first) and new_sha not in shas(first)
+    size = src.stat().st_size
+    with open(src, "r+b") as f:
+        f.seek(raw.index(old))
+        f.write(new)
+    assert src.stat().st_size == size
+    assert pq.read_table(src)["content"][row].as_py().encode() == new
+    again = run_linkage(str(src.parent), cfg)
+    assert not again.stats["features"]["restored"]
+    assert new_sha in shas(again) and old_sha not in shas(again)
 
 
 @pytest.mark.usefixtures("ray_session")
