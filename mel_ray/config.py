@@ -26,7 +26,8 @@ class BlockingConfig:
     stopband_limit: int = 4096     # band size above which the band is dropped
                                    # (the "Paris"-alias cap analogue,
                                    # reference README.md:117-119)
-    max_pairs_per_group: int = 200_000  # hard per-bucket-run pair cap
+    max_pairs_per_group: int = 200_000  # pair cap per plain band run (star pairs
+                                   # above it); salted sub-groups are uncapped
     # M8/M9 content-window cap: when set, only the first N codepoints of
     # each record feed shingling/embedding — bounds per-record work by
     # construction (the reference's char-window truncation before

@@ -12,8 +12,10 @@ the reference applies to its searchers
 flagship (pipelines/linkage.py) remains the 100-TB path for blocking.
 
 Scale notes: the shingle table is grouped by a HASH BUCKET of the
-shingle (one sort-shuffle over fixed buckets, run-detection inside — the
-blocking.py pattern), candidate pairs are deduped by the shared
+shingle (one sort-shuffle over fixed buckets), and each bucket's runs of
+equal shingles go through the LSH blocking's pair emitter
+(stages/blocking.py ``emit_run_pairs``, runs above DF_MAX dropped and
+none salted or capped), candidate pairs are deduped by the shared
 pair-bucket shuffle, and the exact-Jaccard verification is two
 partitioned hash joins (pairs ⋈ shingles ⋈ shingles) plus a pair-keyed
 count — all shapes that survive 10^12 rows.  Shingles travel as strings
@@ -37,7 +39,6 @@ from ray.data.aggregate import Count
 from .functions.hashing import U64, hash_strings64
 from .util import auto_join_partitions, round_half_away, shuffle_partitions
 
-DF_MIN = 2
 DF_MAX = 10
 THRESHOLD = 0.45
 SEP_FIELD = "\x01"   # uid = repo \x01 path \x01 commit
@@ -96,33 +97,18 @@ def _shingle_batch(batch: pa.Table) -> pa.Table:
 
 def _emit_blocked_pairs(group: pa.Table) -> pa.Table:
     """One shingle-hash bucket -> candidate pairs from shingles with
-    global df in [DF_MIN, DF_MAX].  Run-detection over dictionary codes
-    (no string sorts); pair emission batched by run length."""
+    global df in [2, DF_MAX]: the runs of equal shingles, over
+    dictionary codes (no string sorts), through the LSH blocking's run
+    emitter with runs above DF_MAX dropped."""
+    from .config import BlockingConfig
+    from .stages.blocking import emit_run_pairs
+
     s = group["s"]
     if isinstance(s, pa.ChunkedArray):
         s = s.combine_chunks()
     codes = s.dictionary_encode().indices.to_numpy()
-    rid = group["record_id"].to_numpy()
-    order = np.argsort(codes, kind="stable")
-    codes_s = codes[order]
-    rid_s = rid[order]
-    run_start = np.ones(len(codes_s), dtype=bool)
-    run_start[1:] = codes_s[1:] != codes_s[:-1]
-    starts = np.flatnonzero(run_start)
-    lens = np.diff(np.append(starts, len(codes_s)))
-    out_a: list[np.ndarray] = []
-    out_b: list[np.ndarray] = []
-    for L in range(DF_MIN, DF_MAX + 1):
-        idxs = np.flatnonzero(lens == L)
-        if not len(idxs):
-            continue
-        mem = rid_s[starts[idxs][:, None] + np.arange(L)[None, :]]
-        mem = np.sort(mem, axis=1)
-        iu, ju = np.triu_indices(L, k=1)
-        out_a.append(mem[:, iu].reshape(-1))
-        out_b.append(mem[:, ju].reshape(-1))
-    a = np.concatenate(out_a) if out_a else np.empty(0, np.int64)
-    b = np.concatenate(out_b) if out_b else np.empty(0, np.int64)
+    cfg = BlockingConfig(salt_limit=DF_MAX, stopband_limit=DF_MAX)
+    a, b, _ = emit_run_pairs(codes, group["record_id"].to_numpy(), cfg)
     return pa.table({"id_a": pa.array(a), "id_b": pa.array(b)})
 
 

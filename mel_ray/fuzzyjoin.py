@@ -30,10 +30,10 @@ Scale notes (100 TB):
 * the shuffle groups by a 64-bit segment hash — an equality-key
   exchange, same partitioning story as the LSH band groupby.  Hot keys
   (a shared path prefix that IS a whole segment) are the known
-  PassJoin skew; the salt/cap machinery of stages/blocking.py:167-197
-  is the drop-in mitigation when a corpus needs it (not applied here:
-  capping changes results, and the no-silent-caps rule wins at test
-  scale);
+  PassJoin skew; the bounded run emitter of stages/blocking.py
+  (``emit_run_pairs``) is the mitigation when a corpus needs it (not
+  applied here: capping changes results, and the no-silent-caps rule
+  wins at test scale);
 * verify is the Myers uint64 kernel — exact, ~12 vector ops per text
   char for a whole candidate batch;
 * pairs are deduplicated by a (path_a, path_b) groupby, never on the
@@ -282,10 +282,11 @@ def fuzzy_jw_join(sf_dir: str, threshold: float = 0.85):
     Scale shape: ONE equality-key shuffle (the block token); inside a
     block the distinct-name all-pairs scoring is a single vectorized
     ``triu_indices`` gather + one batched JW kernel call — quadratic
-    only in the BLOCK's distinct-value count, which is the bounded-block
-    discipline every blocking-based ER system assumes (hot blocks get
-    the salt/cap treatment of stages/blocking.py when a corpus needs
-    it)."""
+    only in the BLOCK's distinct-value count.  Blocks are NOT bounded:
+    a hot first token makes a quadratic block, since neither fuzzy join
+    salts, caps or drops blocks as stages/blocking.py does (bounding
+    them is a ROADMAP smaller item: "Bound the fuzzy joins' hot
+    blocks")."""
     import pyarrow.compute as pc
 
     from .relational import _read

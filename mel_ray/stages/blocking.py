@@ -47,21 +47,30 @@ scorer's own threshold (feature rows <=
   fixed, small number of buckets.
 
 Either way a band run is whole inside one emit call, so both plans run
-the same emit kernel over the same runs and give the same pairs and the
-same band accounting.  Inside a call everything is NumPy run-detection
-over sorted arrays — no per-band Python, no per-row Python.
+the same emit kernel (:func:`emit_run_pairs`) over the same runs and
+give the same pairs and the same band accounting.  Inside a call
+everything is NumPy over sorted arrays: one run detection, one
+vectorized split of the salted runs into sub-groups, and one loop over
+the run lengths that emits plain runs and sub-groups alike — no
+per-band Python, no per-row Python.  exactlink.py blocks on exact
+shingles through the same kernel.
 
 Skew handling (north rule: "salted band keys to defuse skew"):
 
 * band runs larger than ``salt_limit`` are split into
   ``ceil(size/salt_limit)`` deterministic sub-groups by a salt hash of
-  ``record_id`` — pair generation is quadratic per band, so hot bands
+  ``record_id``, and each sub-group is emitted as a run of its own —
+  pair generation is quadratic per band, so hot bands
   (license/boilerplate content) must be bounded;
 * runs larger than ``stopband_limit`` are dropped entirely, the
   stop-"word" cap analogue of the reference's per-token-array top-R cap
-  (README.md:117-119).  Every drop, salted run and capped run is
-  counted, and the counts go out of band to the run's stats sink
-  (state/accounting.py), never into the pair rows.
+  (README.md:117-119);
+* a plain run of more than ``max_pairs_per_group`` pairs emits only
+  the star pairs of its smallest member (sub-groups are never capped).
+
+Every drop, salted run and capped run is counted, and the counts go out
+of band to the run's stats sink (state/accounting.py), never into the
+pair rows.
 """
 
 from __future__ import annotations
@@ -179,144 +188,116 @@ def binary_matrix(col: pa.Array | pa.ChunkedArray, dtype) -> np.ndarray:
     return data[start : start + len(col) * width].reshape(len(col), width)
 
 
-def expand_bands_batch(
-    batch: pa.Table, cfg: BlockingConfig, num_buckets: int | None = None
-) -> pa.Table:
-    """features -> b band rows per record (the flat_map row expansion,
-    analogue of DaMuELLinkProcessor's entity->links expansion,
-    reference ``loaders/damuel.py:74-116``) of the bucketed plan; the
-    band-major plan folds each task's bands in :func:`_band_range_pairs`.
+def band_rows(
+    sig: pa.Array | pa.ChunkedArray,
+    members: np.ndarray,
+    num_bands: int,
+    lo: int = 0,
+    hi: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A feature block's ``sig`` column and one member per row -> its band
+    rows ``(members, band_hash)`` for the bands ``[lo, hi)`` (default
+    all), record-major: the row expansion of both plans (analogue of
+    DaMuELLinkProcessor's entity->links expansion, reference
+    ``loaders/damuel.py:74-116``).
 
-    Shingle-less records (all-sentinel signatures) are dropped before
-    banding: their signatures are identical across rows, so they would
-    otherwise collide in every band and verify at est_jaccard=1.0
-    despite true Jaccard 0.
-
-    ``num_buckets`` (default ``cfg.num_buckets``) is the exchange key
-    granularity: the downstream ``map_groups`` makes one emit call, and
-    one accounting round trip, per bucket.  :func:`candidate_pairs`
-    passes ``min(cfg.num_buckets, 8 * shuffle_partitions())``, so each
-    shuffle partition gets about 8 calls instead of 64 (512 per-group
-    calls, each paying slice + table construction + an accounting round
-    trip, were measured as the emit phase's dominant cost at 8 CPUs).
-    The emit kernel batches all band runs in a group, so bucket
-    granularity is purely a balance knob, and per-run size is already
-    bounded by ``stopband_limit``."""
-    sig32 = binary_matrix(batch["sig"], np.uint32)
-    nonempty = ~empty_signature_mask(sig32)
-    if not nonempty.all():
-        sig32 = sig32[nonempty]
-        batch = batch.filter(pa.array(nonempty))
-    band_id, band_hash = band_keys(sig32.astype(np.uint64), cfg.num_bands)
-    rid = np.repeat(batch["record_id"].to_numpy(), cfg.num_bands)
-    bucket = (band_hash % U64(num_buckets or cfg.num_buckets)).astype(np.int32)
-    return pa.table(
-        {
-            "record_id": pa.array(rid),
-            "band_hash": pa.array(band_hash.view(np.int64)),
-            "bucket": pa.array(bucket),
-        }
-    )
+    Shingle-less records (all-sentinel signatures) are dropped: their
+    signatures are identical across rows, so they would otherwise
+    collide in every band and verify at est_jaccard=1.0 despite true
+    Jaccard 0."""
+    sig32 = binary_matrix(sig, np.uint32)  # zero-copy view
+    keep = ~empty_signature_mask(sig32)
+    hi = num_bands if hi is None else hi
+    _, bh = band_keys(sig32, num_bands, lo, hi)
+    return np.repeat(members[keep], hi - lo), bh.reshape(len(sig32), hi - lo)[keep].reshape(-1)
 
 
 BAND_COUNTS = ("dropped_bands", "salted_bands", "capped_groups")
 
 
-def _emit_pairs_for_bucket(
-    group: pa.Table, cfg: BlockingConfig, ids: np.ndarray | None = None
-) -> tuple[pa.Table, dict]:
-    """Vectorized pair emission for all band runs inside one bucket ->
-    (pairs ``id_a < id_b``, band counts keyed by :data:`BAND_COUNTS`).
+def emit_run_pairs(
+    keys: np.ndarray, members: np.ndarray, cfg: BlockingConfig, ids: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Every run of equal ``keys`` -> its member pairs ``(a, b)``, ``a <
+    b``, and the band counts keyed by :data:`BAND_COUNTS`.
 
-    With ``ids`` (the sorted record ids of :func:`record_index`), the
-    ``record_id`` column holds dense ranks into ``ids`` and the pairs
-    come out as ranks: rank order is id order, so runs, caps and
-    stopbands are the same, and salt sub-groups hash the real
-    ``ids[rank]``, so the pairs are the id-space pairs mapped to ranks.
+    A run is the distinct ``members`` of one key.  Runs longer than
+    ``stopband_limit`` are dropped.  A run longer than ``salt_limit`` is
+    split into ``k = ceil(len / salt_limit)`` sub-groups by
+    ``splitmix64(id) % k``.  Plain runs and sub-groups then go through
+    one loop over their lengths; a plain run of more than
+    ``max_pairs_per_group`` pairs emits only the star pairs of its
+    smallest member, and a sub-group is never capped.
 
-    Arrow-native in AND out: returning a pandas frame would re-attach
-    pandas schema metadata to the block, which makes the schema
-    unhashable and defeats Ray's schema dedup in every downstream
-    reduce (the "Failed to hash the schemas" log spam)."""
-    bh = group["band_hash"].to_numpy()
-    rid = group["record_id"].to_numpy()
-    order = np.lexsort((rid, bh))
-    bh, rid = bh[order], rid[order]
-    # dedup (band, record) duplicates, then find run boundaries per band hash
-    keep = np.ones(len(bh), dtype=bool)
-    keep[1:] = (np.diff(bh) != 0) | (np.diff(rid) != 0)
-    bh, rid = bh[keep], rid[keep]
-    change = np.flatnonzero(np.diff(bh) != 0) + 1
-    starts = np.concatenate([[0], change])
-    ends = np.concatenate([change, [len(bh)]])
-    lens = ends - starts
+    ``id`` is the member itself, or ``ids[member]`` when ``ids`` is
+    given: with the sorted record ids of :func:`record_index`, members
+    are dense ranks, rank order is id order, and the pairs are the
+    id-space pairs mapped to ranks."""
+    order = np.lexsort((members, keys))
+    keys, members = keys[order], members[order]
+    new_key = np.ones(len(keys), dtype=bool)
+    new_key[1:] = keys[1:] != keys[:-1]
+    # one row per (key, member), so every run is sorted by member
+    keep = new_key.copy()
+    keep[1:] |= members[1:] != members[:-1]
+    members = members[keep]
+    starts = np.flatnonzero(new_key[keep])
+    lens = np.diff(np.append(starts, len(members)))
 
+    drop = lens > cfg.stopband_limit
+    live = (lens >= 2) & ~drop
+    salted = live & (lens > cfg.salt_limit)
+    plain = live & ~salted
+
+    # salted runs -> sub-groups, over the rows of salted runs only: salt
+    # each row, then a stable sort by (run, sub-group) keeps members sorted
+    s_lens = lens[salted]
+    run = np.repeat(np.arange(len(s_lens)), s_lens)
+    # a row's index is its run's start plus its offset inside the run
+    rows = starts[salted][run] + np.arange(len(run)) - np.repeat(np.cumsum(s_lens) - s_lens, s_lens)
+    salt = members[rows] if ids is None else ids[members[rows]]
+    k = np.repeat(-(-s_lens // cfg.salt_limit), s_lens).astype(U64)
+    sub = splitmix64(salt.view(U64)) % k
+    by_sub = np.lexsort((sub, run))
+    run, sub = run[by_sub], sub[by_sub]
+    first = np.ones(len(run), dtype=bool)
+    first[1:] = (run[1:] != run[:-1]) | (sub[1:] != sub[:-1])
+    sub_starts = np.flatnonzero(first)
+
+    # plain runs and sub-groups, grouped by length for one gather per class
+    pool = np.concatenate([members, members[rows[by_sub]]])
+    run_starts = np.concatenate([starts[plain], len(members) + sub_starts])
+    run_lens = np.concatenate([lens[plain], np.diff(np.append(sub_starts, len(run)))])
+    # hard per-RUN cap: a SEMANTIC change (a different pair set), so it
+    # is counted like drops and salting — no silent caps.  It is a
+    # property of the run alone, never of how many runs share a shuffle
+    # partition: the pair set must not depend on exchange granularity.
+    capped = np.zeros(len(run_lens), dtype=bool)
+    capped[: plain.sum()] = lens[plain] * (lens[plain] - 1) // 2 > cfg.max_pairs_per_group
     out_a: list[np.ndarray] = []
     out_b: list[np.ndarray] = []
-    n_capped_groups = 0
-
-    # stopbands: drop mega-runs entirely
-    live = lens >= 2
-    drop = lens > cfg.stopband_limit
-    n_dropped_bands = int(drop.sum())
-    live &= ~drop
-
-    # salted runs: deterministically split members into sub-groups
-    salted = live & (lens > cfg.salt_limit)
-    n_salted_bands = int(salted.sum())
-    for idx in np.flatnonzero(salted):
-        s, e = starts[idx], ends[idx]
-        members = rid[s:e]
-        k = int(np.ceil((e - s) / cfg.salt_limit))
-        salt = members if ids is None else ids[members]
-        sub = (splitmix64(salt.view(U64)) % U64(k)).astype(np.int64)
-        for g in range(k):
-            mem = np.sort(members[sub == g])
-            if len(mem) >= 2:
-                iu, ju = np.triu_indices(len(mem), k=1)
-                out_a.append(mem[iu])
-                out_b.append(mem[ju])
-
-    # normal runs, grouped by run length for fully vectorized emission
-    normal = live & ~salted
-    for L in np.unique(lens[normal]):
-        idxs = np.flatnonzero(normal & (lens == L))
-        per_run = int(L) * (int(L) - 1) // 2
-        if per_run > cfg.max_pairs_per_group:
-            # hard per-RUN cap: emit star pairs to the min member only.
-            # This is a SEMANTIC change (a different pair set), so it is
-            # counted in the stats like drops/salting — no silent caps.
-            # The cap is a property of the RUN alone, never of how many
-            # runs share a shuffle partition: the pair set must be
-            # invariant to exchange-key granularity.
-            n_capped_groups += len(idxs)
-            mem = rid[starts[idxs][:, None] + np.arange(L)[None, :]]
-            mem = np.sort(mem, axis=1)
+    for L in np.unique(run_lens[run_lens >= 2]).tolist():
+        of_len = run_lens == L
+        star = np.flatnonzero(of_len & capped)
+        if len(star):
+            mem = pool[run_starts[star][:, None] + np.arange(L)]
             out_a.append(np.repeat(mem[:, 0], L - 1))
             out_b.append(mem[:, 1:].reshape(-1))
+        full = np.flatnonzero(of_len & ~capped)
+        if not len(full):
             continue
-        # memory guard (NOT semantic): emit the length class in chunks so
-        # one gather never materializes more than ~max_pairs_per_group
-        # pairs at once
         iu, ju = np.triu_indices(L, k=1)
-        chunk = max(1, cfg.max_pairs_per_group // max(per_run, 1))
-        for s in range(0, len(idxs), chunk):
-            part = idxs[s : s + chunk]
-            # gather members matrix (num_runs, L), sort rows for canonical pairs
-            mem = rid[starts[part][:, None] + np.arange(L)[None, :]]
-            mem = np.sort(mem, axis=1)
+        # memory guard (NOT semantic): gather at most about
+        # max_pairs_per_group pairs at once
+        chunk = max(1, cfg.max_pairs_per_group // len(iu))
+        for s in range(0, len(full), chunk):
+            mem = pool[run_starts[full[s : s + chunk]][:, None] + np.arange(L)]
             out_a.append(mem[:, iu].reshape(-1))
             out_b.append(mem[:, ju].reshape(-1))
 
     empty = np.empty(0, dtype=np.int64)
-    pairs = pa.table(
-        {
-            "id_a": pa.array(np.concatenate(out_a) if out_a else empty),
-            "id_b": pa.array(np.concatenate(out_b) if out_b else empty),
-        }
-    )
-    counts = dict(zip(BAND_COUNTS, (n_dropped_bands, n_salted_bands, n_capped_groups)))
-    return pairs, counts
+    counts = dict(zip(BAND_COUNTS, (int(drop.sum()), int(salted.sum()), int(capped.sum()))))
+    return np.concatenate([empty, *out_a]), np.concatenate([empty, *out_b]), counts
 
 
 def band_totals(stats_sink) -> dict:
@@ -350,14 +331,17 @@ def bucket_pairs(
     from ..util import shuffle_partitions
 
     def emit(group: pa.Table) -> pa.Table:
-        pairs, counts = _emit_pairs_for_bucket(group, cfg)
+        # Arrow out, not pandas: pandas schema metadata makes the block
+        # schema unhashable, which defeats Ray's schema dedup in every
+        # downstream reduce
+        a, b, counts = emit_run_pairs(group["band_hash"].to_numpy(), group["record_id"].to_numpy(), cfg)
         if stats_sink is not None and len(group):
             # the ray.get makes "this emit task finished" imply "its
             # counts are recorded", so totals read after the consuming
             # stage materializes are race-free; keyed overwrite makes
             # task retries idempotent
             ray.get(stats_sink.put.remote("blocking", int(group["bucket"][0].as_py()), counts))
-        return pairs
+        return pa.table({"id_a": a, "id_b": b})
 
     # coalesce the band fragments before the sort shuffle: the groupby
     # exchanges num_blocks x num_partitions objects, so a fragmented
@@ -379,7 +363,10 @@ def candidate_pairs(
     pair_filter=None,
 ) -> "ray.data.Dataset":
     """features -> globally-unique candidate pairs (id_a < id_b): band
-    expansion, then :func:`bucket_pairs` (see there for the arguments)."""
+    rows (:func:`band_rows`) with their exchange bucket, then
+    :func:`bucket_pairs` (see there for the arguments).  The emit kernel
+    batches all band runs of a bucket, so the bucket count only balances
+    the exchange."""
     from ..util import shuffle_partitions
 
     # exchange-key granularity: ~8 buckets per shuffle partition — coarse
@@ -389,11 +376,13 @@ def candidate_pairs(
     # 19.2M band rows: 16 groups = 5.7s lexsort, 128 = 3.8s, 512 = 3.0s,
     # but 512 groups pay ~2x their sort savings back in per-group calls)
     n_buckets = min(cfg.num_buckets, 8 * shuffle_partitions())
-    bands = features.map_batches(
-        lambda b: expand_bands_batch(b, cfg, num_buckets=n_buckets),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
+
+    def expand(batch: pa.Table) -> pa.Table:
+        rid, band_hash = band_rows(batch["sig"], batch["record_id"].to_numpy(), cfg.num_bands)
+        bucket = (band_hash % U64(n_buckets)).astype(np.int32)
+        return pa.table({"record_id": rid, "band_hash": band_hash.view(np.int64), "bucket": bucket})
+
+    bands = features.map_batches(expand, batch_format="pyarrow", zero_copy_batch=True)
     return bucket_pairs(bands, cfg, stats_sink, pair_filter, coalesce)
 
 
@@ -492,29 +481,22 @@ def _band_range_pairs(
     ``[lo, hi)``: (band counts, then ``n_ranges`` slices of the sorted,
     locally unique pair keys, cut at :func:`id_range_bounds`).
 
-    Every run of these bands is whole here, so the unchanged
-    :func:`_emit_pairs_for_bucket`, on ranks, makes the bucketed plan's
-    stopband, salt and cap decisions and counts.  Shingle-less records
-    are dropped as :func:`expand_bands_batch` drops them.  ``pair_filter``
-    sees the unique pairs as ``id_a``, ``id_b`` with their ``key``."""
+    Every run of these bands is whole here, so :func:`emit_run_pairs`,
+    on ranks, makes the bucketed plan's stopband, salt and cap decisions
+    and counts.  ``pair_filter`` sees the unique pairs as ``id_a``,
+    ``id_b`` with their ``key``."""
     lo, hi = bands
     n = len(sorted_ids)
     rows, hashes = [np.empty(0, np.int64)], [np.empty(0, U64)]
     start = 0
     for t in blocks:
-        if not len(t):
-            continue
-        sig32 = binary_matrix(t["sig"], np.uint32)  # zero-copy view
-        keep = ~empty_signature_mask(sig32)
-        _, bh = band_keys(sig32, cfg.num_bands, lo, hi)
-        rows.append(np.repeat(ranks[start : start + len(t)][keep], hi - lo))
-        hashes.append(bh.reshape(len(t), hi - lo)[keep].reshape(-1))
+        if len(t):
+            r, h = band_rows(t["sig"], ranks[start : start + len(t)], cfg.num_bands, lo, hi)
+            rows.append(r)
+            hashes.append(h)
         start += len(t)
-    group = pa.table(
-        {"record_id": np.concatenate(rows), "band_hash": np.concatenate(hashes).view(np.int64)}
-    )
-    pairs, counts = _emit_pairs_for_bucket(group, cfg, ids=sorted_ids)
-    keys = np.unique(pairs["id_a"].to_numpy() * n + pairs["id_b"].to_numpy())
+    a, b, counts = emit_run_pairs(np.concatenate(hashes), np.concatenate(rows), cfg, ids=sorted_ids)
+    keys = np.unique(a * n + b)
     if pair_filter is not None:
         keys = pair_filter(_decode(keys, sorted_ids).append_column("key", pa.array(keys)))
         keys = keys["key"].to_numpy()

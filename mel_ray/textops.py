@@ -923,7 +923,7 @@ def doc_dup_ngram_fraction(sf_dir: str, n: int = 5):
     distinctness without materializing gram strings — words are
     batch-locally dictionary-encoded and grams compared as int tuples
     via one lexsort + run detection over the whole batch (the
-    ``_emit_pairs_for_bucket`` idiom).  Tokenization shares ``TOKEN_RE``
+    blocking.py ``emit_run_pairs`` idiom).  Tokenization shares ``TOKEN_RE``
     with every other text op."""
     from .util import round_half_away
 

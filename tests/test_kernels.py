@@ -371,73 +371,104 @@ def test_featurize_batch_slices_exactly(window):
     assert len(empty) == 0 and empty.schema == whole.schema
 
 
-class TestPairEmissionAccounting:
-    """No-silent-caps: every semantic degradation of the pair set
-    (stopband drop, salting, star-pair cap) is counted in the kernel's
-    band counts."""
+def _oracle_run_pairs(keys, members, cfg, ids=None):
+    """Per-run ``itertools.combinations`` oracle of ``emit_run_pairs``:
+    (pair multiset, band counts, whether a sub-group held more than
+    ``max_pairs_per_group`` pairs)."""
+    from collections import Counter, defaultdict
+    from itertools import combinations
 
-    @staticmethod
-    def _bucket(band_sizes):
-        rows_bh, rows_rid = [], []
-        next_id = 0
-        for bh, size in enumerate(band_sizes):
-            for _ in range(size):
-                rows_bh.append(bh)
-                rows_rid.append(next_id)
-                next_id += 1
-        return pa.table(
-            {
-                "record_id": pa.array(rows_rid, pa.int64()),
-                "band_hash": pa.array(rows_bh, pa.int64()),
-                "bucket": pa.array([0] * len(rows_bh), pa.int32()),
-            }
-        )
+    runs = defaultdict(set)
+    for k, m in zip(keys.tolist(), members.tolist()):
+        runs[k].add(m)
+    pairs = Counter()
+    counts = {"dropped_bands": 0, "salted_bands": 0, "capped_groups": 0}
+    big_sub_group = False
+    for run in map(sorted, runs.values()):
+        if len(run) > cfg.stopband_limit:
+            counts["dropped_bands"] += 1
+        elif len(run) > cfg.salt_limit:
+            counts["salted_bands"] += 1
+            k = -(-len(run) // cfg.salt_limit)
+            salt = np.asarray(run if ids is None else ids[run], dtype=np.int64)
+            sub = splitmix64(salt.view(U64)) % U64(k)
+            for g in range(k):
+                group = [m for m, h in zip(run, sub.tolist()) if h == g]
+                pairs.update(combinations(group, 2))
+                big_sub_group |= len(group) * (len(group) - 1) // 2 > cfg.max_pairs_per_group
+        elif len(run) * (len(run) - 1) // 2 > cfg.max_pairs_per_group:
+            counts["capped_groups"] += 1
+            pairs.update((run[0], m) for m in run[1:])
+        else:
+            pairs.update(combinations(run, 2))
+    return pairs, counts, big_sub_group
 
-    def test_star_pair_cap_is_counted(self):
-        from mel_ray.config import BlockingConfig
-        from mel_ray.stages.blocking import _emit_pairs_for_bucket
 
-        cfg = BlockingConfig(salt_limit=64, stopband_limit=4096, max_pairs_per_group=10)
-        pairs, counts = _emit_pairs_for_bucket(self._bucket([6]), cfg)  # C(6,2)=15 > 10
-        assert counts["capped_groups"] == 1
-        assert counts["dropped_bands"] == 0
-        # star fallback: 5 pairs to the min member, not the 15 all-pairs
-        assert len(pairs) == 5
-        assert set(pairs["id_a"].to_pylist()) == {0}
+@st.composite
+def _run_mixes(draw):
+    """(keys, ranks, sorted ids, config): runs of lengths 1, ``c`` (the
+    cap crossing: C(c, 2) equals the cap or exceeds it by one),
+    ``salt_limit`` and one more, ``stopband_limit`` and one more, plus
+    random ones; with members shared between runs, duplicate rows, and
+    the rows shuffled.  The cap stays below C(ceil((salt_limit + 1) / 2),
+    2), so the larger sub-group of the run of ``salt_limit + 1`` always
+    exceeds it."""
+    from mel_ray.config import BlockingConfig
 
-    def test_uncapped_band_not_counted(self):
-        from mel_ray.config import BlockingConfig
-        from mel_ray.stages.blocking import _emit_pairs_for_bucket
+    salt = draw(st.integers(4, 8))
+    stop = salt + 1 + draw(st.integers(0, 2 * salt))
+    c = draw(st.integers(2, (salt + 2) // 2 - 1))
+    cap = c * (c - 1) // 2 - draw(st.integers(0, 1))
+    lengths = [1, c, salt, salt + 1, stop, stop + 1]
+    lengths += draw(st.lists(st.integers(1, stop + 2), max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = np.unique(rng.integers(-(1 << 63), 1 << 63, size=3 * stop, dtype=np.int64))
+    keys = np.repeat(rng.integers(-(1 << 63), 1 << 63, size=len(lengths), dtype=np.int64), lengths)
+    ranks = np.concatenate([rng.choice(len(ids), size=n, replace=False) for n in lengths])
+    dup = rng.integers(0, len(keys), size=draw(st.integers(0, len(keys))))
+    rows = rng.permutation(np.concatenate([np.arange(len(keys)), dup]))
+    cfg = BlockingConfig(salt_limit=salt, stopband_limit=stop, max_pairs_per_group=cap)
+    return keys[rows], ranks[rows], ids, cfg
 
-        cfg = BlockingConfig(salt_limit=64, stopband_limit=4096, max_pairs_per_group=100)
-        pairs, counts = _emit_pairs_for_bucket(self._bucket([6, 3]), cfg)
-        assert counts["capped_groups"] == 0
-        assert len(pairs) == 15 + 3
+
+@given(_run_mixes())
+@settings(max_examples=150, deadline=None)
+def test_emit_run_pairs_matches_oracle(mix):
+    """The emitter gives the oracle's pairs and band counts when it
+    salts by the members themselves (record ids) and when it salts by
+    ``ids[member]`` (members are ranks), at every run-length boundary:
+    salt, stopband and the star cap of plain runs, which never applies
+    to a salted sub-group."""
+    from collections import Counter
+
+    from mel_ray.stages.blocking import emit_run_pairs
+
+    keys, ranks, ids, cfg = mix
+    for members, kw in ((ids[ranks], {}), (ranks, {"ids": ids})):
+        want, want_counts, big_sub_group = _oracle_run_pairs(keys, members, cfg, **kw)
+        a, b, counts = emit_run_pairs(keys, members, cfg, **kw)
+        assert (a < b).all()
+        assert Counter(zip(a.tolist(), b.tolist())) == want
+        assert counts == want_counts
+        assert counts["dropped_bands"] >= 1 and counts["salted_bands"] >= 2 and big_sub_group
 
 
 def test_emit_on_ranks_maps_to_id_space_pairs():
     """Emission over dense record ranks with ``ids=`` gives the id-space
-    pairs and band counts, mapped through ``ids``: over a dropped, a
-    salted, a star-capped and two plain runs, with the rows shuffled.
-    Salting by rank instead of by record id gives other pairs here."""
+    pairs and band counts, mapped through ``ids``: salt sub-groups hash
+    the record id.  Salting by rank instead gives other pairs."""
     from mel_ray.config import BlockingConfig
-    from mel_ray.stages.blocking import _emit_pairs_for_bucket
+    from mel_ray.stages.blocking import emit_run_pairs
 
     rng = np.random.default_rng(11)
     ids = np.unique(rng.integers(0, 1 << 63, size=400, dtype=np.int64))
     cfg = BlockingConfig(salt_limit=32, stopband_limit=150, max_pairs_per_group=20)
-    bands, ranks = [], []
-    for band, size in enumerate([200, 100, 12, 5, 3]):
-        bands.append(np.full(size, band * 7919, dtype=np.int64))
-        ranks.append(rng.choice(len(ids), size=size, replace=False))
-    bands, ranks = np.concatenate(bands), np.concatenate(ranks)
-    shuffle = rng.permutation(len(ranks))
-    bands, ranks = bands[shuffle], ranks[shuffle]
+    bands = np.repeat(np.arange(5) * 7919, [200, 100, 12, 5, 3])
+    ranks = np.concatenate([rng.choice(len(ids), size=n, replace=False) for n in [200, 100, 12, 5, 3]])
 
     def emit(rid, **kw):
-        group = pa.table({"record_id": rid, "band_hash": bands})
-        pairs, counts = _emit_pairs_for_bucket(group, cfg, **kw)
-        return sorted(zip(pairs["id_a"].to_pylist(), pairs["id_b"].to_pylist())), counts
+        a, b, counts = emit_run_pairs(bands, rid, cfg, **kw)
+        return sorted(zip(a.tolist(), b.tolist())), counts
 
     want, want_counts = emit(ids[ranks])
     got, got_counts = emit(ranks, ids=ids)

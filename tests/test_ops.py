@@ -337,17 +337,11 @@ class TestDedupOps:
         import numpy as np
 
         from mel_ray.config import BlockingConfig
-        from mel_ray.stages.blocking import _binary_rows, expand_bands_batch
+        from mel_ray.stages.blocking import _binary_rows, band_rows
 
         sig32 = (sig & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-        batch = pa.table(
-            {
-                "record_id": pa.array([0, 1, 2], pa.int64()),
-                "sig": _binary_rows(np.ascontiguousarray(sig32)),
-            }
-        )
-        bands = expand_bands_batch(batch, BlockingConfig())
-        assert set(bands["record_id"].to_numpy()) == {2}
+        rid, _ = band_rows(_binary_rows(np.ascontiguousarray(sig32)), np.arange(3), BlockingConfig().num_bands)
+        assert set(rid) == {2}
 
     def test_simhash_pairs_complete_at_distance_8(self):
         """Pigeonhole completeness: with chunks = K+1 every pair within

@@ -2,6 +2,7 @@
 against oracle_sql() via DuckDB (row count + sorted-column value match).
 
 Usage: python tools/check_correctness.py [sf_dir] [query ...]
+Exits non-zero when a query fails or is unknown, or when none ran.
 """
 
 from __future__ import annotations
@@ -82,6 +83,13 @@ def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
 
+    import __ray_entry__ as E
+
+    qs = E.queries()
+    unknown = sorted(only - set(qs))
+    if unknown:
+        sys.exit(f"unknown queries: {', '.join(unknown)}")
+
     import ray
 
     if not ray.is_initialized():
@@ -95,9 +103,6 @@ def main():
 
     import duckdb
 
-    import __ray_entry__ as E
-
-    qs = E.queries()
     oracles = E.oracle_sql()
 
     con = duckdb.connect()
@@ -135,7 +140,7 @@ def main():
             n_pass += 1
     print(f"\n{n_pass} pass, {n_fail} fail")
     ray.shutdown()
-    sys.exit(1 if n_fail else 0)
+    sys.exit(1 if n_fail or not n_pass else 0)
 
 
 if __name__ == "__main__":
