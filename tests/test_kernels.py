@@ -371,6 +371,39 @@ def test_featurize_batch_slices_exactly(window):
     assert len(empty) == 0 and empty.schema == whole.schema
 
 
+class TestPairEmissionAccounting:
+    """No-silent-caps: every semantic degradation of the pair set
+    (stopband drop, salting, star-pair cap) is counted in the emitter's
+    band counts."""
+
+    @staticmethod
+    def _runs(run_sizes):
+        """(keys, members): one run per size, members numbered from 0."""
+        keys = np.repeat(np.arange(len(run_sizes), dtype=np.int64), run_sizes)
+        return keys, np.arange(len(keys), dtype=np.int64)
+
+    def test_star_pair_cap_is_counted(self):
+        from mel_ray.config import BlockingConfig
+        from mel_ray.stages.blocking import emit_run_pairs
+
+        cfg = BlockingConfig(salt_limit=64, stopband_limit=4096, max_pairs_per_group=10)
+        a, b, counts = emit_run_pairs(*self._runs([6]), cfg)  # C(6,2)=15 > 10
+        assert counts["capped_groups"] == 1
+        assert counts["dropped_bands"] == 0
+        # star fallback: 5 pairs to the min member, not the 15 all-pairs
+        assert len(a) == 5
+        assert set(a.tolist()) == {0}
+
+    def test_uncapped_band_not_counted(self):
+        from mel_ray.config import BlockingConfig
+        from mel_ray.stages.blocking import emit_run_pairs
+
+        cfg = BlockingConfig(salt_limit=64, stopband_limit=4096, max_pairs_per_group=100)
+        a, b, counts = emit_run_pairs(*self._runs([6, 3]), cfg)
+        assert counts["capped_groups"] == 0
+        assert len(a) == 15 + 3
+
+
 def _oracle_run_pairs(keys, members, cfg, ids=None):
     """Per-run ``itertools.combinations`` oracle of ``emit_run_pairs``:
     (pair multiset, band counts, whether a sub-group held more than
